@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -111,10 +114,16 @@ func TestParallelSequentialEquivalence(t *testing.T) {
 	}
 }
 
+// gridGoldenAMD64 is the SHA-256 of the SaveGrid file TestRunGridGoldenDeterminism
+// writes, as computed on linux/amd64. Float arithmetic may differ on other
+// architectures, so the comparison runs on amd64 only.
+const gridGoldenAMD64 = "f74172820c87f6e408b63760332769e7d6919b5ebc8146a3d1fbb65d78c2693b"
+
 // TestRunGridGoldenDeterminism runs the same options twice with fresh
 // caches and asserts the two persisted grids are byte-identical: the whole
 // pipeline (synthetic data, compression, training, parallel merge, JSON
-// encoding) is deterministic under one seed.
+// encoding) is deterministic under one seed. On amd64 the bytes must also
+// hash to the committed golden, so results cannot drift across commits.
 func TestRunGridGoldenDeterminism(t *testing.T) {
 	swapGridCache(t)
 
@@ -142,6 +151,12 @@ func TestRunGridGoldenDeterminism(t *testing.T) {
 	}
 	if !bytes.Equal(blobs[0], blobs[1]) {
 		t.Fatalf("two fresh RunGrid runs serialised differently (%d vs %d bytes)", len(blobs[0]), len(blobs[1]))
+	}
+	if runtime.GOARCH == "amd64" {
+		sum := sha256.Sum256(blobs[0])
+		if got := hex.EncodeToString(sum[:]); got != gridGoldenAMD64 {
+			t.Fatalf("SaveGrid hash drifted from the committed golden:\n got  %s\n want %s", got, gridGoldenAMD64)
+		}
 	}
 	// The persisted grid must round-trip into the cache with a working
 	// keyed cell lookup.
