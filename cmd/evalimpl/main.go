@@ -32,13 +32,11 @@ func main() {
 		saveGrid   = flag.String("savegrid", "", "after the run, save the evaluation grid to this file (cell store)")
 		loadGrid   = flag.String("loadgrid", "", "load a previously saved evaluation grid instead of recomputing")
 		workers    = flag.Int("workers", 0, "split the grid across N locally spawned worker processes (requires -store)")
-		bench      = flag.String("bench", "", "measure multi-worker scaling (1, 2, 4 workers) and write a JSON report to this file")
 		partition  = flag.String("partition", "", "internal: run as one grid worker (1-based i/n); used by the -workers coordinator")
 		peers      = flag.String("peers", "", "internal: comma-separated peer journals for the worker steal pass")
 		grid       = cli.BindGrid(flag.CommandLine)
 		common     = cli.Bind(flag.CommandLine)
 	)
-	common.BindStream(flag.CommandLine)
 	common.BindStore(flag.CommandLine)
 	flag.Parse()
 
@@ -62,24 +60,13 @@ func main() {
 		os.Exit(code)
 	}
 
-	if *bench != "" {
-		if err := benchWorkers(*bench, grid, common, os.Stderr); err != nil {
-			fail("evalimpl:", err)
-		}
-		fmt.Fprintf(os.Stderr, "scaling report written to %s\n", *bench)
-		if err := stopProfiles(); err != nil {
-			fail("evalimpl:", err)
-		}
-		return
-	}
-
 	opts := grid.Options(common)
 
 	if *workers > 1 {
 		if common.Store == "" {
 			fail("evalimpl: -workers requires -store (the merged journal path)")
 		}
-		if _, err := coordinate(*workers, common.Store, grid, common, os.Stderr); err != nil {
+		if err := coordinate(*workers, common.Store, grid, common, os.Stderr); err != nil {
 			fail(err)
 		}
 		// The store now holds every cell plus the worker-count stamp; the

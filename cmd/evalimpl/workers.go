@@ -18,7 +18,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"lossyts/internal/cli"
 	"lossyts/internal/core"
@@ -59,12 +58,6 @@ func workerArgs(grid *cli.Grid, common *cli.Common, journal string, i, n int, pe
 	if common.RefKernels {
 		args = append(args, "-refkernels")
 	}
-	if common.Stream {
-		args = append(args, "-stream")
-	}
-	if common.ChunkSize != 0 {
-		args = append(args, "-chunk", strconv.Itoa(common.ChunkSize))
-	}
 	args = append(args,
 		"-store", journal,
 		"-partition", fmt.Sprintf("%d/%d", i+1, n),
@@ -73,13 +66,13 @@ func workerArgs(grid *cli.Grid, common *cli.Common, journal string, i, n int, pe
 	return args
 }
 
-// coordinate spawns n workers, waits for all of them, merges their journals
-// into store, and returns the per-worker summaries. On success the worker
+// coordinate spawns n workers, waits for all of them, reports their
+// summaries, and merges their journals into store. On success the worker
 // journals are removed; on failure they are left for inspection.
-func coordinate(n int, store string, grid *cli.Grid, common *cli.Common, stderr io.Writer) ([]core.WorkerSummary, error) {
+func coordinate(n int, store string, grid *cli.Grid, common *cli.Common, stderr io.Writer) error {
 	exe, err := os.Executable()
 	if err != nil {
-		return nil, fmt.Errorf("evalimpl: locating own binary: %w", err)
+		return fmt.Errorf("evalimpl: locating own binary: %w", err)
 	}
 	journals := make([]string, n)
 	for i := range journals {
@@ -115,7 +108,7 @@ func coordinate(n int, store string, grid *cli.Grid, common *cli.Common, stderr 
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("evalimpl: %w", err)
+			return fmt.Errorf("evalimpl: %w", err)
 		}
 	}
 	for _, s := range summaries {
@@ -124,68 +117,11 @@ func coordinate(n int, store string, grid *cli.Grid, common *cli.Common, stderr 
 	}
 	stats, err := core.MergeWorkerStores(store, journals)
 	if err != nil {
-		return nil, fmt.Errorf("evalimpl: merging worker journals: %w", err)
+		return fmt.Errorf("evalimpl: merging worker journals: %w", err)
 	}
 	fmt.Fprintf(stderr, "merged %d worker journals into %s (%d records)\n", stats.Sources, store, stats.Records)
 	for _, j := range journals {
 		os.Remove(j)
 	}
-	return summaries, nil
-}
-
-// gridBenchRun is one row of the scaling report.
-type gridBenchRun struct {
-	Workers     int     `json:"workers"`
-	WallMS      int64   `json:"wall_ms"`
-	Cells       int     `json:"cells"`
-	CellsPerSec float64 `json:"cells_per_sec"`
-}
-
-// benchWorkers measures multi-worker scaling: the same grid computed from
-// scratch at 1, 2, and 4 workers (each worker pinned to -parallelism 1 so
-// the processes, not the in-process pool, provide the parallelism), written
-// as a JSON report. Stores live in a temp dir and are discarded.
-func benchWorkers(out string, grid *cli.Grid, common *cli.Common, stderr io.Writer) error {
-	dir, err := os.MkdirTemp("", "lossyts-gridbench")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-
-	bcommon := *common
-	bcommon.Parallelism = 1
-	var runs []gridBenchRun
-	for _, n := range []int{1, 2, 4} {
-		bcommon.Store = fmt.Sprintf("%s/bench%d.cells", dir, n)
-		start := time.Now()
-		summaries, err := coordinate(n, bcommon.Store, grid, &bcommon, stderr)
-		if err != nil {
-			return err
-		}
-		wall := time.Since(start)
-		cells := 0
-		for _, s := range summaries {
-			cells += s.ComputedCells
-		}
-		r := gridBenchRun{
-			Workers: n,
-			WallMS:  wall.Milliseconds(),
-			Cells:   cells,
-		}
-		if secs := wall.Seconds(); secs > 0 {
-			r.CellsPerSec = float64(cells) / secs
-		}
-		fmt.Fprintf(stderr, "bench: workers=%d wall=%dms cells=%d (%.1f cells/sec)\n",
-			r.Workers, r.WallMS, r.Cells, r.CellsPerSec)
-		runs = append(runs, r)
-	}
-	report := struct {
-		Benchmark string         `json:"benchmark"`
-		Runs      []gridBenchRun `json:"runs"`
-	}{Benchmark: "grid_workers", Runs: runs}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(out, append(data, '\n'), 0o644)
+	return nil
 }

@@ -42,7 +42,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		grid      = cli.BindGrid(fs)
 		common    = cli.Bind(fs)
 	)
-	common.BindStream(fs)
 	common.BindStore(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2

@@ -33,14 +33,13 @@ func main() {
 		interval  = flag.Int64("interval", 60, "sampling interval in seconds (when input has no timestamps)")
 		common    = cli.BindProfiling(flag.CommandLine)
 	)
-	common.BindStream(flag.CommandLine)
 	flag.Parse()
 	stopProfiles, err := common.Start()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tscompress:", err)
 		os.Exit(1)
 	}
-	runErr := run(*method, *eps, *in, *roundtrip, *interval, common)
+	runErr := run(*method, *eps, *in, *roundtrip, *interval)
 	// Profiles are flushed before any exit path: os.Exit skips defers.
 	if err := stopProfiles(); err != nil {
 		fmt.Fprintln(os.Stderr, "tscompress:", err)
@@ -51,7 +50,7 @@ func main() {
 	}
 }
 
-func run(method string, eps float64, in, roundtrip string, interval int64, common *cli.Common) error {
+func run(method string, eps float64, in, roundtrip string, interval int64) error {
 	if in == "" {
 		return fmt.Errorf("missing -in file")
 	}
@@ -63,19 +62,11 @@ func run(method string, eps float64, in, roundtrip string, interval int64, commo
 	if err != nil {
 		return err
 	}
-	var c *compress.Compressed
-	var dec *timeseries.Series
-	if common.Stream {
-		// The chunked data plane: encode from a chunk source, decode through
-		// a chunked decoder. Payload and reconstruction are byte-identical
-		// to the batch path.
-		c, dec, err = streamRoundTrip(comp, s, eps, common.ChunkSize)
-	} else {
-		c, err = comp.Compress(s, eps)
-		if err == nil {
-			dec, err = c.Decompress()
-		}
+	c, err := comp.Compress(s, eps)
+	if err != nil {
+		return err
 	}
+	dec, err := c.Decompress()
 	if err != nil {
 		return err
 	}
@@ -90,13 +81,6 @@ func run(method string, eps float64, in, roundtrip string, interval int64, commo
 	maxRel, err := s.MaxRelError(dec)
 	if err != nil {
 		return err
-	}
-	if common.Stream {
-		chunk := common.ChunkSize
-		if chunk <= 0 {
-			chunk = timeseries.DefaultChunkSize
-		}
-		fmt.Printf("mode         streamed (chunks of %d)\n", chunk)
 	}
 	fmt.Printf("method       %s\n", c.Method)
 	fmt.Printf("error bound  %g\n", eps)
@@ -114,48 +98,6 @@ func run(method string, eps float64, in, roundtrip string, interval int64, commo
 		fmt.Printf("decompressed series written to %s\n", roundtrip)
 	}
 	return nil
-}
-
-// streamRoundTrip compresses and reconstructs through the chunked streaming
-// data plane. Methods without an incremental kernel fall back to a buffered
-// streaming encoder (same payload, O(n) memory).
-func streamRoundTrip(comp compress.Compressor, s *timeseries.Series, eps float64, chunk int) (*compress.Compressed, *timeseries.Series, error) {
-	if chunk <= 0 {
-		chunk = timeseries.DefaultChunkSize
-	}
-	enc, err := compress.NewStreamEncoder(comp.Method(), s, eps)
-	if err != nil {
-		enc, err = compress.NewBufferedStreamEncoder(comp, s.Start, s.Interval, eps)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	src := s.Chunks(chunk)
-	for {
-		ch, ok := src.Next()
-		if !ok {
-			break
-		}
-		if err := enc.PushChunk(ch); err != nil {
-			return nil, nil, err
-		}
-	}
-	if err := src.Err(); err != nil {
-		return nil, nil, err
-	}
-	c, err := enc.Close()
-	if err != nil {
-		return nil, nil, err
-	}
-	sd, err := compress.NewStreamDecoder(c, chunk)
-	if err != nil {
-		return nil, nil, err
-	}
-	dec, err := timeseries.Collect(s.Name, sd)
-	if err != nil {
-		return nil, nil, err
-	}
-	return c, dec, nil
 }
 
 func readSeries(path string, interval int64) (*timeseries.Series, error) {

@@ -4,8 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"lossyts/internal/cli"
 )
 
 func writeTemp(t *testing.T, content string) string {
@@ -83,45 +81,16 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 	in := writeTemp(t, content)
 	out := filepath.Join(t.TempDir(), "rt.csv")
-	if err := run("PMC", 0.05, in, out, 60, &cli.Common{}); err != nil {
+	if err := run("PMC", 0.05, in, out, 60); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(out); err != nil {
 		t.Fatal("roundtrip file not written")
 	}
-	if err := run("NOPE", 0.05, in, "", 60, &cli.Common{}); err == nil {
+	if err := run("NOPE", 0.05, in, "", 60); err == nil {
 		t.Error("unknown method should error")
 	}
-	if err := run("PMC", 0.05, "", "", 60, &cli.Common{}); err == nil {
+	if err := run("PMC", 0.05, "", "", 60); err == nil {
 		t.Error("missing input should error")
-	}
-}
-
-// TestRunStreamed drives the -stream path and checks the chunked round trip
-// writes the same reconstruction as the batch path.
-func TestRunStreamed(t *testing.T) {
-	var content string
-	for i := 0; i < 300; i++ {
-		content += "10.5\n10.6\n10.4\n"
-	}
-	in := writeTemp(t, content)
-	outBatch := filepath.Join(t.TempDir(), "batch.csv")
-	outStream := filepath.Join(t.TempDir(), "stream.csv")
-	if err := run("SZ", 0.05, in, outBatch, 60, &cli.Common{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := run("SZ", 0.05, in, outStream, 60, &cli.Common{Stream: true, ChunkSize: 77}); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(outBatch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := os.ReadFile(outStream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(b) != string(s) {
-		t.Fatal("streamed reconstruction differs from batch")
 	}
 }

@@ -1,7 +1,8 @@
 // Package cli holds the flag plumbing the lossyts commands share: the
-// parallelism and kernel-mode knobs of the compute-heavy tools and the
-// CPU/heap profile writers every command offers. Binding them here keeps
-// flag names, defaults, and help text identical across binaries.
+// CPU/heap profile writers every command offers, the parallelism,
+// kernel-mode and result-store knobs of the grid-running tools, and the
+// grid, serve, load-generator and monitor flag groups. Binding them here
+// keeps flag names, defaults, and help text identical across binaries.
 package cli
 
 import (
@@ -28,11 +29,6 @@ type Common struct {
 	// CPUProfile and MemProfile are profile output paths ("" = off).
 	CPUProfile string
 	MemProfile string
-	// Stream routes the data plane through chunked streaming (identical
-	// results, bounded ingest/compress memory); ChunkSize is the chunk
-	// length in points (0 = the timeseries default).
-	Stream    bool
-	ChunkSize int
 	// Store is the path of a cell-addressed result store ("" = off):
 	// completed grid cells are checkpointed there as they finish and
 	// reused by later runs (see core.Options.Store).
@@ -41,7 +37,7 @@ type Common struct {
 
 // BindProfiling registers the profiling flags on fs and returns the
 // receiver the parsed values land in. Commands without compute knobs
-// (gendata, tscompress, nnbench) use this subset.
+// (gendata, tscompress, tsserve, nnbench) use this subset.
 func BindProfiling(fs *flag.FlagSet) *Common {
 	c := &Common{}
 	fs.StringVar(&c.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
@@ -58,19 +54,11 @@ func Bind(fs *flag.FlagSet) *Common {
 	return c
 }
 
-// BindStream registers the streaming data-plane flags. Commands whose data
-// path has a chunked mode (tscompress, evalimpl, streambench) add these on
-// top of their other bindings; results are identical in either mode, only
-// the memory profile changes.
-func (c *Common) BindStream(fs *flag.FlagSet) {
-	fs.BoolVar(&c.Stream, "stream", false, "use the chunked streaming data plane (identical results, bounded memory)")
-	fs.IntVar(&c.ChunkSize, "chunk", 0, "streaming chunk length in points (0 = default)")
-}
-
 // BindStore registers the result-store flag. Commands that evaluate grid
-// cells through the harness (evalimpl, tsforecast) offer it: with a store,
-// every completed cell is checkpointed durably, an interrupted run resumes
-// where it stopped, and a grown grid computes only its delta.
+// cells through the harness (evalimpl, gridworker, tsforecast) offer it:
+// with a store, every completed cell is checkpointed durably, an
+// interrupted run resumes where it stopped, and a grown grid computes only
+// its delta.
 func (c *Common) BindStore(fs *flag.FlagSet) {
 	fs.StringVar(&c.Store, "store", "", "cell-addressed result store: checkpoint finished cells here, resume interrupted runs, recompute only grid deltas")
 }
@@ -124,8 +112,6 @@ func (g *Grid) Options(c *Common) core.Options {
 	opts.Seed = g.Seed
 	opts.Parallelism = c.Parallelism
 	opts.ReferenceKernels = c.RefKernels
-	opts.Stream = c.Stream
-	opts.ChunkSize = c.ChunkSize
 	opts.Store = c.Store
 	if g.Datasets != "" {
 		opts.Datasets = SplitList(g.Datasets)

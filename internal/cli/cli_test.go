@@ -93,7 +93,7 @@ func TestGridArgsRoundTrip(t *testing.T) {
 	if *g != *g2 {
 		t.Fatalf("round-tripped grid %+v != %+v", *g2, *g)
 	}
-	c := &Common{Parallelism: 2, Stream: true}
+	c := &Common{Parallelism: 2, RefKernels: true}
 	if o1, o2 := g.Options(c), g2.Options(c); !reflect.DeepEqual(o1, o2) {
 		t.Fatalf("options differ: %+v vs %+v", o1, o2)
 	}

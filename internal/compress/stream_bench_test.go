@@ -94,8 +94,8 @@ func BenchmarkStreamDecode(b *testing.B) {
 // The per-kernel benchmarks below measure one full codec op — fresh encoder
 // (or decoder), all points pushed (or drained), payload finished — for each
 // of the four stream kernels separately, the unit cost the serving plane
-// pays per cache-missed request. ns/op divided by the point count is the
-// ns/point figure streambench reports.
+// pays per cache-missed request. ns/op divided by the point count gives the
+// per-kernel ns/point.
 
 const kernelBenchPoints = 20000
 

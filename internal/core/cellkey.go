@@ -29,11 +29,11 @@ type CellAddr struct {
 // runs computing the same CellKey are guaranteed — and tested — to produce
 // bit-identical cells, which is what makes the result store safe to reuse.
 //
-// Options deliberately absent: Parallelism, Stream, ChunkSize, and Store
-// change scheduling, memory, or persistence, never values; Datasets,
-// Models, Methods, and ErrorBounds select which cells exist, not what any
-// one cell contains (per-model metrics live inside the record, keyed by
-// model name, so a grown Models list only appends to a record).
+// Options deliberately absent: Parallelism and Store change scheduling or
+// persistence, never values; Datasets, Models, Methods, and ErrorBounds
+// select which cells exist, not what any one cell contains (per-model
+// metrics live inside the record, keyed by model name, so a grown Models
+// list only appends to a record).
 type CellKey struct {
 	Schema         int
 	Scale          float64

@@ -84,20 +84,8 @@ func (d *DatasetResult) Cell(m compress.Method, eps float64) *Cell {
 }
 
 // PhaseTimings reports where an evaluation run spent its time, plus work
-// counters, so benchmarks can attribute speedups to specific phases. Phase
-// durations are summed across concurrently evaluated datasets and worker
-// goroutines, so they measure aggregate compute and may exceed Wall.
+// counters, so benchmarks can attribute speedups to specific stages.
 type PhaseTimings struct {
-	// Setup covers dataset generation, splitting, scaling, and the
-	// lossless Gorilla baseline.
-	Setup time.Duration
-	// Compression covers the method × error-bound compression grid.
-	Compression time.Duration
-	// Planning covers the per-cell transform + window caching (cellPlan).
-	Planning time.Duration
-	// Forecast covers model fitting and window evaluation across all
-	// (model, seed) units.
-	Forecast time.Duration
 	// Wall is the end-to-end wall clock of the RunGrid call that computed
 	// the grid (memoised callers see the original run's value).
 	Wall time.Duration
@@ -106,9 +94,8 @@ type PhaseTimings struct {
 	// CellEvals is the number of model-on-decompressed-cell evaluations.
 	CellEvals int64
 	// Stages reports the wall clock of each pipeline stage, in execution
-	// order, summed across concurrently evaluated datasets. The legacy
-	// phase buckets above are aggregations of these (plus the per-unit
-	// fit/eval time feeding Forecast), kept for benchmark continuity.
+	// order, summed across concurrently evaluated datasets, so the totals
+	// measure aggregate compute and may exceed Wall.
 	Stages []StageTiming
 }
 
@@ -118,13 +105,12 @@ type StageTiming struct {
 	Total time.Duration
 }
 
-// timingAcc accumulates PhaseTimings atomically across worker goroutines.
-// The legacy phase buckets stay lock-free atomics on the hot path; the
-// per-stage map is touched once per (dataset, stage) and takes a mutex.
+// timingAcc accumulates PhaseTimings across worker goroutines. The work
+// counters are lock-free atomics; the per-stage map is touched once per
+// (dataset, stage) and takes a mutex.
 type timingAcc struct {
-	setup, compression, planning, forecast atomic.Int64 // nanoseconds
-	units, cellEvals                       atomic.Int64
-	cellsLoaded, cellsComputed             atomic.Int64
+	units, cellEvals           atomic.Int64
+	cellsLoaded, cellsComputed atomic.Int64
 
 	mu      sync.Mutex
 	stageNs map[string]int64
@@ -140,33 +126,13 @@ func (a *timingAcc) addStage(name string, d time.Duration) {
 	a.mu.Unlock()
 }
 
-// legacyBucket maps a stage to the pre-stage-graph phase bucket its wall
-// clock feeds, so PhaseTimings keeps its historical meaning. The train,
-// forecast, and analyze stages return nil: their compute is attributed
-// per-unit into the forecast bucket by the workers themselves.
-func (a *timingAcc) legacyBucket(stage string) *atomic.Int64 {
-	switch stage {
-	case StageIngest:
-		return &a.setup
-	case StageCompress, StageReconstruct:
-		return &a.compression
-	case StageWindow:
-		return &a.planning
-	}
-	return nil
-}
-
 // snapshot renders the accumulated counters, listing stages in the given
 // pipeline order (stages that never ran are omitted).
 func (a *timingAcc) snapshot(wall time.Duration, order []string) PhaseTimings {
 	pt := PhaseTimings{
-		Setup:       time.Duration(a.setup.Load()),
-		Compression: time.Duration(a.compression.Load()),
-		Planning:    time.Duration(a.planning.Load()),
-		Forecast:    time.Duration(a.forecast.Load()),
-		Wall:        wall,
-		Units:       a.units.Load(),
-		CellEvals:   a.cellEvals.Load(),
+		Wall:      wall,
+		Units:     a.units.Load(),
+		CellEvals: a.cellEvals.Load(),
 	}
 	a.mu.Lock()
 	for _, name := range order {
@@ -331,11 +297,7 @@ func RunGridContext(ctx context.Context, opts Options) (*GridResult, error) {
 	nn.UseReferenceKernels(opts.ReferenceKernels)
 
 	start := time.Now()
-	pipeline := DefaultPipeline()
-	if opts.Stream {
-		pipeline = StreamingPipeline()
-	}
-	rc := newRunContext(ctx, opts, pipeline)
+	rc := newRunContext(ctx, opts, DefaultPipeline())
 	if opts.Store != "" {
 		if err := rc.openStore(); err != nil {
 			return nil, err

@@ -11,7 +11,6 @@ import (
 
 	"lossyts/internal/compress"
 	"lossyts/internal/forecast"
-	"lossyts/internal/timeseries"
 )
 
 // Options configures a full evaluation run.
@@ -48,19 +47,6 @@ type Options struct {
 	// graphs. Kernel numerics differ below ~1e-9, so it is part of the
 	// memoisation key.
 	ReferenceKernels bool
-	// Stream routes the ingest → compress → reconstruct prefix of the stage
-	// pipeline through the chunked streaming data plane: the dataset target
-	// is generated chunk by chunk (datasets.StreamTarget), every grid cell
-	// is compressed by a streaming encoder fed from one shared chunk pass
-	// over the test subset, and reconstructions are decoded chunk by chunk.
-	// Results are bit-identical to the batch pipeline — payloads match byte
-	// for byte — so like Parallelism it is excluded from the memoisation
-	// key.
-	Stream bool
-	// ChunkSize is the chunk length (points) the streaming data plane uses;
-	// 0 means timeseries.DefaultChunkSize. Chunking never changes results,
-	// so it too is excluded from the memoisation key.
-	ChunkSize int
 	// Store is the path of a cell-addressed result store ("" = off). With a
 	// store, RunGridContext checkpoints every completed cell as its dataset
 	// finishes, skips cells already present on re-run — so a killed run
@@ -169,31 +155,12 @@ func (o Options) parallelism() int {
 	return runtime.NumCPU()
 }
 
-// chunkSize resolves the streaming chunk length.
-func (o Options) chunkSize() int {
-	if o.ChunkSize > 0 {
-		return o.ChunkSize
-	}
-	return timeseries.DefaultChunkSize
-}
-
 // key is the memoisation key: the grid signature shared with the result
 // store (every cell-identity field, see Options.CellKey) plus the grid
-// selectors. Parallelism, Stream, ChunkSize, and Store are deliberately
-// excluded — they change scheduling, memory, or persistence, and the
-// harness guarantees bit-identical results at every setting.
+// selectors. Parallelism and Store are deliberately excluded — they change
+// scheduling or persistence, and the harness guarantees bit-identical
+// results at every setting.
 func (o Options) key() string {
 	return fmt.Sprintf("%s|%v|%v|%v|%v",
 		o.gridSignature(), o.datasets(), o.models(), o.methods(), o.errorBounds())
-}
-
-// normalized clears the fields that never change results (scheduling,
-// streaming, persistence) so persisted option sets compare and serialise
-// identically however the grid was computed.
-func (o Options) normalized() Options {
-	o.Parallelism = 0
-	o.Stream = false
-	o.ChunkSize = 0
-	o.Store = ""
-	return o
 }

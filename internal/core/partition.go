@@ -75,11 +75,7 @@ func RunPartitionContext(ctx context.Context, opts Options, workers, index int, 
 	nn.UseReferenceKernels(opts.ReferenceKernels)
 
 	start := time.Now()
-	pipeline := DefaultPipeline()
-	if opts.Stream {
-		pipeline = StreamingPipeline()
-	}
-	rc := newRunContext(ctx, opts, pipeline)
+	rc := newRunContext(ctx, opts, DefaultPipeline())
 	if err := rc.openStore(); err != nil {
 		return WorkerSummary{}, err
 	}

@@ -10,6 +10,7 @@ import (
 
 	"lossyts/internal/compress"
 	"lossyts/internal/core/cellstore"
+	"lossyts/internal/forecast"
 	"lossyts/internal/stats"
 	"lossyts/internal/timeseries"
 )
@@ -78,6 +79,48 @@ type datasetRecord struct {
 	RawTest        []byte
 	GorillaCR      float64
 	Baselines      map[string]stats.Metrics
+}
+
+// optsRecord is the persisted option set of a completed run. Its fields,
+// in this order, are the record's wire format. Parallelism, Stream,
+// ChunkSize and Store are always zero: frozen fields kept so the record
+// bytes, and with them every SaveGrid file, never change. Loaders decode
+// the record straight into Options, which ignores the fields it lacks.
+type optsRecord struct {
+	Scale            float64
+	Seed             int64
+	Datasets         []string
+	Models           []string
+	Methods          []compress.Method
+	ErrorBounds      []float64
+	DeepSeeds        int
+	ShallowSeeds     int
+	MaxEvalWindows   int
+	Parallelism      int
+	Forecast         forecast.Config
+	ReferenceKernels bool
+	Stream           bool
+	ChunkSize        int
+	Store            string
+}
+
+// record converts o into its persisted form, dropping the fields that never
+// change results (scheduling, persistence) so the record is the same however
+// the grid was computed.
+func (o Options) record() optsRecord {
+	return optsRecord{
+		Scale:            o.Scale,
+		Seed:             o.Seed,
+		Datasets:         o.Datasets,
+		Models:           o.Models,
+		Methods:          o.Methods,
+		ErrorBounds:      o.ErrorBounds,
+		DeepSeeds:        o.DeepSeeds,
+		ShallowSeeds:     o.ShallowSeeds,
+		MaxEvalWindows:   o.MaxEvalWindows,
+		Forecast:         o.Forecast,
+		ReferenceKernels: o.ReferenceKernels,
+	}
 }
 
 // marshalRecord renders a record payload: gzip-compressed JSON. Gzip keeps
@@ -161,10 +204,9 @@ func datasetWorkUnit(o Options, ds *DatasetResult) WorkUnit {
 }
 
 // putOptsRecord records the completed option set; LoadGrid assembles the
-// grid this run produced. Scheduling-only fields are normalised away so
-// the record is independent of how the grid was computed.
+// grid this run produced.
 func putOptsRecord(s *cellstore.Store, o Options) error {
-	payload, err := marshalRecord(o.normalized())
+	payload, err := marshalRecord(o.record())
 	if err != nil {
 		return err
 	}
@@ -355,22 +397,21 @@ func SaveGrid(g *GridResult, path string) error {
 	defer s.Close()
 	exec := NewWorkExec(s)
 	ctx := context.Background()
-	opts := g.Opts.normalized()
-	for _, name := range opts.datasets() {
+	for _, name := range g.Opts.datasets() {
 		ds := g.Datasets[name]
 		if ds == nil {
 			return fmt.Errorf("core: grid has no dataset %s", name)
 		}
-		if _, err := exec.Refresh(ctx, datasetWorkUnit(opts, ds)); err != nil {
+		if _, err := exec.Refresh(ctx, datasetWorkUnit(g.Opts, ds)); err != nil {
 			return err
 		}
 		for _, c := range ds.Cells {
-			if _, err := exec.Refresh(ctx, cellWorkUnit(opts, name, c)); err != nil {
+			if _, err := exec.Refresh(ctx, cellWorkUnit(g.Opts, name, c)); err != nil {
 				return err
 			}
 		}
 	}
-	if err := putOptsRecord(s, opts); err != nil {
+	if err := putOptsRecord(s, g.Opts); err != nil {
 		return err
 	}
 	return s.Close()

@@ -172,9 +172,6 @@ func (p *Pipeline) run(rc *RunContext, st *pipelineState) error {
 		err := stage.Run(rc, st)
 		d := time.Since(t)
 		rc.acc.addStage(stage.Name, d)
-		if b := rc.acc.legacyBucket(stage.Name); b != nil {
-			b.Add(int64(d))
-		}
 		if err != nil {
 			if cerr := rc.Err(); cerr != nil {
 				return cerr
@@ -192,8 +189,7 @@ func (p *Pipeline) run(rc *RunContext, st *pipelineState) error {
 type pipelineState struct {
 	name string
 
-	// Ingest outputs. period and interval come from the dataset metadata,
-	// whichever ingest path (batch Load or chunked stream) produced it.
+	// Ingest outputs. period and interval come from the dataset metadata.
 	period           int
 	interval         int64
 	test             *timeseries.Series
@@ -273,13 +269,7 @@ func runIngest(rc *RunContext, st *pipelineState) error {
 		return err
 	}
 	st.period, st.interval = ds.SeasonalPeriod, ds.Interval
-	return finishIngest(rc, st, ds.Target())
-}
-
-// finishIngest is the tail of the ingest stage shared by the batch and
-// streaming paths: split, scale, result scaffolding, and the lossless
-// Gorilla baseline. st.period and st.interval must be set by the caller.
-func finishIngest(rc *RunContext, st *pipelineState, target *timeseries.Series) error {
+	target := ds.Target()
 	train, val, test, err := target.Split(0.7, 0.1, 0.2)
 	if err != nil {
 		return err
@@ -314,49 +304,12 @@ func finishIngest(rc *RunContext, st *pipelineState, target *timeseries.Series) 
 	// retrain; any model it does retrain overwrites its entry with a
 	// bit-identical value.
 	st.loaded.fillBaselines(st.dr.Baselines)
-	gor, err := gorillaBaseline(rc, test)
+	gor, err := (compress.Gorilla{}).Compress(test, 0)
 	if err != nil {
 		return err
 	}
 	st.dr.GorillaCR, err = compress.Ratio(test, gor)
 	return err
-}
-
-// gorillaBaseline compresses the test subset losslessly. The streaming mode
-// feeds a chunk source into the streaming encoder — same payload, byte for
-// byte — so the whole ingest prefix exercises the chunked data plane.
-func gorillaBaseline(rc *RunContext, test *timeseries.Series) (*compress.Compressed, error) {
-	if !rc.opts.Stream {
-		return (compress.Gorilla{}).Compress(test, 0)
-	}
-	enc, err := compress.NewStreamEncoderAt(compress.MethodGorilla, test.Start, test.Interval, 0)
-	if err != nil {
-		return nil, err
-	}
-	if err := pushAll(rc, test.Chunks(rc.opts.chunkSize()), enc); err != nil {
-		return nil, err
-	}
-	return enc.Close()
-}
-
-// pushAll drains a chunk source into one or more streaming encoders,
-// checking cancellation at chunk boundaries.
-func pushAll(rc *RunContext, src timeseries.Source, encs ...*compress.StreamEncoder) error {
-	for {
-		if err := rc.Err(); err != nil {
-			return err
-		}
-		c, ok := src.Next()
-		if !ok {
-			break
-		}
-		for _, enc := range encs {
-			if err := enc.PushChunk(c); err != nil {
-				return err
-			}
-		}
-	}
-	return src.Err()
 }
 
 // runCompress builds the model-independent compression grid: one cell per
@@ -546,11 +499,7 @@ func runTrain(rc *RunContext, st *pipelineState) error {
 	poolRun(rc, len(st.units),
 		func(i int) error {
 			u := st.units[i]
-			tFit := time.Now()
-			defer func() {
-				rc.acc.forecast.Add(int64(time.Since(tFit)))
-				rc.acc.units.Add(1)
-			}()
+			defer rc.acc.units.Add(1)
 			mcfg := st.plan.cfg
 			mcfg.Seed = rc.opts.Seed + int64(u.si)*7919
 			model, err := forecast.New(u.model, mcfg)
@@ -580,8 +529,6 @@ func runForecast(rc *RunContext, st *pipelineState) error {
 	poolRun(rc, len(st.units),
 		func(i int) error {
 			u := st.units[i]
-			tEval := time.Now()
-			defer func() { rc.acc.forecast.Add(int64(time.Since(tEval))) }()
 			model := st.trained[u.mi][u.si]
 			// The harness knows each window's absolute position, so
 			// phase-aware models (Arima) receive real time indices for

@@ -116,9 +116,9 @@ func TestPipelineRunHonoursCancellation(t *testing.T) {
 }
 
 // TestRunGridStageTimings checks a real grid run reports per-stage wall
-// clock for the whole default pipeline, in execution order, consistent with
-// the legacy phase buckets. It computes its own grid: memoised or loaded
-// grids legitimately carry the timings of wherever they came from.
+// clock for the whole default pipeline, in execution order, with time in
+// every stage. It computes its own grid: memoised or loaded grids
+// legitimately carry the timings of wherever they came from.
 func TestRunGridStageTimings(t *testing.T) {
 	swapGridCache(t)
 	opts := equivalenceOptions()
@@ -136,8 +136,5 @@ func TestRunGridStageTimings(t *testing.T) {
 	}
 	if want := DefaultPipeline().StageNames(); !reflect.DeepEqual(names, want) {
 		t.Fatalf("stage timing order %v, want %v", names, want)
-	}
-	if g.Timings.Setup <= 0 || g.Timings.Compression <= 0 || g.Timings.Planning <= 0 {
-		t.Fatalf("legacy phase buckets not fed by the stage graph: %+v", g.Timings)
 	}
 }

@@ -301,38 +301,6 @@ func TestStoreCodecSetExpansion(t *testing.T) {
 	}
 }
 
-// TestStoreStreamResume: a store written by the streaming pipeline resumes
-// under the batch pipeline (and vice versa the planes share one format),
-// with persisted bytes equal to a from-scratch batch run.
-func TestStoreStreamResume(t *testing.T) {
-	swapGridCache(t)
-	gWant, err := RunGrid(storeTestOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := saveBytes(t, gWant)
-
-	store := filepath.Join(t.TempDir(), "stream.cells")
-	base := storeTestOptions()
-	base.ErrorBounds = []float64{0.05}
-	base.Stream = true
-	base.Store = store
-	ResetGridCache()
-	if _, err := RunGrid(base); err != nil {
-		t.Fatal(err)
-	}
-	ResetGridCache()
-	opts := storeTestOptions()
-	opts.Store = store
-	g, err := RunGrid(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := saveBytes(t, g); !bytes.Equal(got, want) {
-		t.Fatal("grid resumed from a streaming run differs from a batch run")
-	}
-}
-
 // TestStoreCorruptTailGridRecovery: a grid store with a damaged tail (torn
 // final record) still resumes to completion and the damaged part is simply
 // recomputed.

@@ -341,13 +341,11 @@ func CheckDrift(raw, decompressed []float64, period int) (*DriftReport, error) {
 type (
 	// EvalOptions configures a full evaluation run. Its Parallelism field
 	// bounds the harness's worker pools (0 = NumCPU, 1 = sequential);
-	// results are bit-identical at every setting. Its Stream field runs the
-	// ingest→compress→reconstruct stages through the chunked streaming data
-	// plane (ChunkSize points at a time) — also bit-identical. Its Store
-	// field names a cell-addressed result store: every finished cell is
-	// checkpointed there, an interrupted run resumes where it stopped, and
-	// a grown grid recomputes only its delta — again bit-identical, so none
-	// of these fields participate in grid memoisation.
+	// results are bit-identical at every setting. Its Store field names a
+	// cell-addressed result store: every finished cell is checkpointed
+	// there, an interrupted run resumes where it stopped, and a grown grid
+	// recomputes only its delta — again bit-identical, so neither field
+	// participates in grid memoisation.
 	EvalOptions = core.Options
 	// GridResult is the memoised output of the full evaluation grid.
 	GridResult = core.GridResult
