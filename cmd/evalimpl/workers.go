@@ -55,9 +55,6 @@ func workerArgs(grid *cli.Grid, common *cli.Common, journal string, i, n int, pe
 	if common.Parallelism != 0 {
 		args = append(args, "-parallelism", strconv.Itoa(common.Parallelism))
 	}
-	if common.RefKernels {
-		args = append(args, "-refkernels")
-	}
 	args = append(args,
 		"-store", journal,
 		"-partition", fmt.Sprintf("%d/%d", i+1, n),

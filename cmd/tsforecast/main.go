@@ -80,7 +80,6 @@ func runStored(dataset, modelName, method string, eps, scale float64, seed int64
 	opts.Methods = []compress.Method{compress.Method(method)}
 	opts.ErrorBounds = []float64{eps}
 	opts.Parallelism = common.Parallelism
-	opts.ReferenceKernels = common.RefKernels
 	opts.Store = common.Store
 	g, err := core.RunGrid(opts)
 	if err != nil {

@@ -1,6 +1,6 @@
 // Package cli holds the flag plumbing the lossyts commands share: the
-// CPU/heap profile writers every command offers, the parallelism,
-// kernel-mode and result-store knobs of the grid-running tools, and the
+// CPU/heap profile writers every command offers, the parallelism and
+// result-store knobs of the grid-running tools, and the
 // grid, serve, load-generator and monitor flag groups. Binding them here
 // keeps flag names, defaults, and help text identical across binaries.
 package cli
@@ -14,7 +14,6 @@ import (
 
 	"lossyts/internal/compress"
 	"lossyts/internal/core"
-	"lossyts/internal/nn"
 	"lossyts/internal/profiling"
 )
 
@@ -23,9 +22,6 @@ type Common struct {
 	// Parallelism bounds worker pools (0 = all CPUs, 1 = sequential).
 	// Grid results are bit-identical at every setting.
 	Parallelism int
-	// RefKernels selects the reference (unblocked, unfused, unpooled) nn
-	// kernels instead of the fast path.
-	RefKernels bool
 	// CPUProfile and MemProfile are profile output paths ("" = off).
 	CPUProfile string
 	MemProfile string
@@ -37,7 +33,7 @@ type Common struct {
 
 // BindProfiling registers the profiling flags on fs and returns the
 // receiver the parsed values land in. Commands without compute knobs
-// (gendata, tscompress, tsserve, nnbench) use this subset.
+// (gendata, tscompress, tsserve) use this subset.
 func BindProfiling(fs *flag.FlagSet) *Common {
 	c := &Common{}
 	fs.StringVar(&c.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
@@ -46,11 +42,10 @@ func BindProfiling(fs *flag.FlagSet) *Common {
 }
 
 // Bind registers the full shared flag set: profiling plus the parallelism
-// and kernel-mode knobs of the evaluation commands.
+// knob of the evaluation commands.
 func Bind(fs *flag.FlagSet) *Common {
 	c := BindProfiling(fs)
 	fs.IntVar(&c.Parallelism, "parallelism", 0, "worker bound (0 = all CPUs, 1 = sequential; results are identical)")
-	fs.BoolVar(&c.RefKernels, "refkernels", false, "use the reference (unblocked, unfused, unpooled) nn kernels")
 	return c
 }
 
@@ -111,7 +106,6 @@ func (g *Grid) Options(c *Common) core.Options {
 	}
 	opts.Seed = g.Seed
 	opts.Parallelism = c.Parallelism
-	opts.ReferenceKernels = c.RefKernels
 	opts.Store = c.Store
 	if g.Datasets != "" {
 		opts.Datasets = SplitList(g.Datasets)
@@ -320,12 +314,10 @@ func (m *Monitor) SessionOptions() core.SessionOptions {
 	}
 }
 
-// Start applies the kernel mode and starts the requested profilers. The
-// returned stop function flushes the profiles and must run on every exit
-// path — os.Exit skips defers, so callers invoke it explicitly before
-// exiting non-zero.
+// Start starts the requested profilers. The returned stop function flushes
+// the profiles and must run on every exit path — os.Exit skips defers, so
+// callers invoke it explicitly before exiting non-zero.
 func (c *Common) Start() (stop func() error, err error) {
-	nn.UseReferenceKernels(c.RefKernels)
 	return profiling.Start(c.CPUProfile, c.MemProfile)
 }
 

@@ -2,6 +2,7 @@ package cli
 
 import (
 	"flag"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -14,15 +15,27 @@ func TestBindParsesSharedFlags(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	c := Bind(fs)
 	err := fs.Parse([]string{
-		"-parallelism", "4", "-refkernels",
+		"-parallelism", "4",
 		"-cpuprofile", "cpu.out", "-memprofile", "mem.out",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Common{Parallelism: 4, RefKernels: true, CPUProfile: "cpu.out", MemProfile: "mem.out"}
+	want := Common{Parallelism: 4, CPUProfile: "cpu.out", MemProfile: "mem.out"}
 	if *c != want {
 		t.Fatalf("parsed %+v, want %+v", *c, want)
+	}
+}
+
+// TestBindRejectsRefKernels: the reference nn kernel mode is gone, so its
+// old flag must fail to parse rather than be silently ignored.
+func TestBindRejectsRefKernels(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	Bind(fs)
+	err := fs.Parse([]string{"-refkernels"})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("-refkernels parsed with err %v, want \"flag provided but not defined\"", err)
 	}
 }
 
@@ -32,7 +45,7 @@ func TestBindProfilingOmitsComputeKnobs(t *testing.T) {
 	if fs.Lookup("cpuprofile") == nil || fs.Lookup("memprofile") == nil {
 		t.Fatal("profiling flags missing")
 	}
-	if fs.Lookup("parallelism") != nil || fs.Lookup("refkernels") != nil {
+	if fs.Lookup("parallelism") != nil {
 		t.Fatal("compute knobs leaked into the profiling subset")
 	}
 }
@@ -93,7 +106,7 @@ func TestGridArgsRoundTrip(t *testing.T) {
 	if *g != *g2 {
 		t.Fatalf("round-tripped grid %+v != %+v", *g2, *g)
 	}
-	c := &Common{Parallelism: 2, RefKernels: true}
+	c := &Common{Parallelism: 2}
 	if o1, o2 := g.Options(c), g2.Options(c); !reflect.DeepEqual(o1, o2) {
 		t.Fatalf("options differ: %+v vs %+v", o1, o2)
 	}

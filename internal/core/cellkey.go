@@ -25,7 +25,7 @@ type CellAddr struct {
 // CellKey canonically identifies one grid cell across processes: the
 // dataset, the cell address, and every option that can change the cell's
 // bytes (scale, base seed, per-class seed counts, evaluation window cap,
-// forecasting config, kernel mode), plus the record schema version. Two
+// forecasting config), plus the record schema version. Two
 // runs computing the same CellKey are guaranteed — and tested — to produce
 // bit-identical cells, which is what makes the result store safe to reuse.
 //
@@ -43,10 +43,9 @@ type CellKey struct {
 	MaxEvalWindows int
 	// Forecast is the canonical rendering of the forecasting config; a
 	// string so CellKey stays comparable and hashable.
-	Forecast   string
-	RefKernels bool
-	Dataset    string
-	Addr       CellAddr
+	Forecast string
+	Dataset  string
+	Addr     CellAddr
 }
 
 // CellKey derives the canonical key of one cell from the option set — the
@@ -62,7 +61,6 @@ func (o Options) CellKey(dataset string, m compress.Method, eps float64) CellKey
 		ShallowSeeds:   o.ShallowSeeds,
 		MaxEvalWindows: o.MaxEvalWindows,
 		Forecast:       fmt.Sprintf("%+v", o.Forecast),
-		RefKernels:     o.ReferenceKernels,
 		Dataset:        dataset,
 		Addr:           CellAddr{Method: m, Epsilon: eps},
 	}
@@ -72,10 +70,14 @@ func (o Options) CellKey(dataset string, m compress.Method, eps float64) CellKey
 // shares — CellKey minus dataset and address — in a stable form. It
 // namespaces record keys, so one store file can hold cells from several
 // option sets without collisions.
+//
+// The literal "ref=false" segment is frozen: it once recorded a removed
+// kernel-mode option, and keeping it keeps every existing store key (and
+// every SaveGrid file) unchanged.
 func (o Options) gridSignature() string {
-	return fmt.Sprintf("s%d;sc=%s;seed=%d;ds=%d;ss=%d;mw=%d;ref=%t;fc=%+v",
+	return fmt.Sprintf("s%d;sc=%s;seed=%d;ds=%d;ss=%d;mw=%d;ref=false;fc=%+v",
 		RecordSchema, formatEps(o.Scale), o.Seed, o.DeepSeeds, o.ShallowSeeds,
-		o.MaxEvalWindows, o.ReferenceKernels, o.Forecast)
+		o.MaxEvalWindows, o.Forecast)
 }
 
 // formatEps renders a float in its shortest round-trippable form, so keys
@@ -87,13 +89,14 @@ func formatEps(v float64) string {
 
 // String renders the key's stable store form. The layout is
 // "cell|<signature>|<dataset>|<method>|<epsilon>"; the signature uses ';'
-// separators internally so the '|' fields parse unambiguously.
+// separators internally so the '|' fields parse unambiguously, and carries
+// the same frozen "ref=false" segment as gridSignature.
 func (k CellKey) String() string {
 	return strings.Join([]string{
 		"cell",
-		fmt.Sprintf("s%d;sc=%s;seed=%d;ds=%d;ss=%d;mw=%d;ref=%t;fc=%s",
+		fmt.Sprintf("s%d;sc=%s;seed=%d;ds=%d;ss=%d;mw=%d;ref=false;fc=%s",
 			k.Schema, formatEps(k.Scale), k.Seed, k.DeepSeeds, k.ShallowSeeds,
-			k.MaxEvalWindows, k.RefKernels, k.Forecast),
+			k.MaxEvalWindows, k.Forecast),
 		k.Dataset,
 		string(k.Addr.Method),
 		formatEps(k.Addr.Epsilon),

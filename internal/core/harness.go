@@ -12,7 +12,6 @@ import (
 	"lossyts/internal/core/cellstore"
 	"lossyts/internal/features"
 	"lossyts/internal/forecast"
-	"lossyts/internal/nn"
 	"lossyts/internal/stats"
 	"lossyts/internal/timeseries"
 )
@@ -289,12 +288,6 @@ func RunGridContext(ctx context.Context, opts Options) (*GridResult, error) {
 		return g, nil
 	}
 	gridMu.Unlock()
-
-	// The kernel mode is process-global (the nn ops consult it at every
-	// dispatch), so it is set once per grid computation. Each (model, seed)
-	// unit owns a per-goroutine arena released when its fit/predict ends,
-	// so cell boundaries never leak pooled buffers across units.
-	nn.UseReferenceKernels(opts.ReferenceKernels)
 
 	start := time.Now()
 	rc := newRunContext(ctx, opts, DefaultPipeline())

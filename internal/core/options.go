@@ -42,11 +42,6 @@ type Options struct {
 	// Forecast carries window sizes and training hyperparameters; zero
 	// values fall back to forecast.DefaultConfig.
 	Forecast forecast.Config
-	// ReferenceKernels disables the nn package's blocked/fused kernels and
-	// buffer arena for the run, training with the original scalar op
-	// graphs. Kernel numerics differ below ~1e-9, so it is part of the
-	// memoisation key.
-	ReferenceKernels bool
 	// Store is the path of a cell-addressed result store ("" = off). With a
 	// store, RunGridContext checkpoints every completed cell as its dataset
 	// finishes, skips cells already present on re-run — so a killed run

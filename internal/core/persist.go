@@ -82,10 +82,11 @@ type datasetRecord struct {
 }
 
 // optsRecord is the persisted option set of a completed run. Its fields,
-// in this order, are the record's wire format. Parallelism, Stream,
-// ChunkSize and Store are always zero: frozen fields kept so the record
-// bytes, and with them every SaveGrid file, never change. Loaders decode
-// the record straight into Options, which ignores the fields it lacks.
+// in this order, are the record's wire format. Parallelism,
+// ReferenceKernels, Stream, ChunkSize and Store are always written as zero:
+// frozen fields kept so the record bytes, and with them every SaveGrid file,
+// never change. A true ReferenceKernels can only come from a store written
+// before the reference nn kernel mode was removed; LoadGrid refuses it.
 type optsRecord struct {
 	Scale            float64
 	Seed             int64
@@ -109,17 +110,32 @@ type optsRecord struct {
 // the grid was computed.
 func (o Options) record() optsRecord {
 	return optsRecord{
-		Scale:            o.Scale,
-		Seed:             o.Seed,
-		Datasets:         o.Datasets,
-		Models:           o.Models,
-		Methods:          o.Methods,
-		ErrorBounds:      o.ErrorBounds,
-		DeepSeeds:        o.DeepSeeds,
-		ShallowSeeds:     o.ShallowSeeds,
-		MaxEvalWindows:   o.MaxEvalWindows,
-		Forecast:         o.Forecast,
-		ReferenceKernels: o.ReferenceKernels,
+		Scale:          o.Scale,
+		Seed:           o.Seed,
+		Datasets:       o.Datasets,
+		Models:         o.Models,
+		Methods:        o.Methods,
+		ErrorBounds:    o.ErrorBounds,
+		DeepSeeds:      o.DeepSeeds,
+		ShallowSeeds:   o.ShallowSeeds,
+		MaxEvalWindows: o.MaxEvalWindows,
+		Forecast:       o.Forecast,
+	}
+}
+
+// options converts a decoded record back into the option set it persists.
+func (r optsRecord) options() Options {
+	return Options{
+		Scale:          r.Scale,
+		Seed:           r.Seed,
+		Datasets:       r.Datasets,
+		Models:         r.Models,
+		Methods:        r.Methods,
+		ErrorBounds:    r.ErrorBounds,
+		DeepSeeds:      r.DeepSeeds,
+		ShallowSeeds:   r.ShallowSeeds,
+		MaxEvalWindows: r.MaxEvalWindows,
+		Forecast:       r.Forecast,
 	}
 }
 
@@ -443,10 +459,14 @@ func loadGridStore(path string) (*GridResult, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: %s holds no completed run (it is a checkpoint store of an interrupted grid; re-run with the store to finish it)", path)
 	}
-	var opts Options
-	if err := unmarshalRecord(payload, &opts); err != nil {
+	var rec optsRecord
+	if err := unmarshalRecord(payload, &rec); err != nil {
 		return nil, fmt.Errorf("core: decoding option set of %s: %w", path, err)
 	}
+	if rec.ReferenceKernels {
+		return nil, fmt.Errorf("core: %s was computed with the reference nn kernel mode, which has been removed; recompute the grid without it", path)
+	}
+	opts := rec.options()
 	g := &GridResult{Opts: opts, Datasets: map[string]*DatasetResult{}}
 	cells := 0
 	for _, name := range opts.datasets() {

@@ -147,17 +147,8 @@ func TestGradScaledDotAttention(t *testing.T) {
 	}
 }
 
-// withReferenceKernels runs f under the reference kernel mode and restores
-// the fast path afterwards.
-func withReferenceKernels(t *testing.T, f func()) {
-	t.Helper()
-	UseReferenceKernels(true)
-	defer UseReferenceKernels(false)
-	f()
-}
-
 // TestFusedMatchesReference compares each fused op's forward values and
-// input gradients between the fast path and the reference decomposition.
+// input gradients with the unfused chain of standalone ops it replaces.
 // Forward kernels preserve per-element summation order, so outputs agree
 // exactly; backward kernels regroup additions, so gradients are held to the
 // documented 1e-9.
@@ -177,28 +168,48 @@ func TestFusedMatchesReference(t *testing.T) {
 			gw:  append([]float64(nil), w.Grad...),
 		}
 	}
+	type build func(x, w, b *Tensor) *Tensor
 	for _, tc := range []struct {
-		name  string
-		build func(x, w, b *Tensor) *Tensor
+		name       string
+		fused, ref build
 	}{
-		{"LinearFused/Identity", func(x, w, b *Tensor) *Tensor { return LinearFused(x, w, b, ActIdentity) }},
-		{"LinearFused/ReLU", func(x, w, b *Tensor) *Tensor { return LinearFused(x, w, b, ActReLU) }},
-		{"LinearFused/GELU", func(x, w, b *Tensor) *Tensor { return LinearFused(x, w, b, ActGELU) }},
-		{"AddSigmoid", func(x, w, b *Tensor) *Tensor { return AddSigmoid(MatMul(x, w), AddBias(MatMul(x, w), b)) }},
-		{"AddTanh", func(x, w, b *Tensor) *Tensor { return AddTanh(MatMul(x, w), AddBias(MatMul(x, w), b)) }},
-		{"Lerp", func(x, w, b *Tensor) *Tensor {
-			y := MatMul(x, w)
-			return Lerp(y, AddBias(y, b), Sigmoid(y))
-		}},
-		{"LinearPairSum", func(x, w, b *Tensor) *Tensor { return LinearPairSum(x, w, b, Tanh(x), w, b) }},
+		{"LinearFused/Identity",
+			func(x, w, b *Tensor) *Tensor { return LinearFused(x, w, b, ActIdentity) },
+			func(x, w, b *Tensor) *Tensor { return linearRef(x, w, b, ActIdentity) }},
+		{"LinearFused/ReLU",
+			func(x, w, b *Tensor) *Tensor { return LinearFused(x, w, b, ActReLU) },
+			func(x, w, b *Tensor) *Tensor { return linearRef(x, w, b, ActReLU) }},
+		{"LinearFused/GELU",
+			func(x, w, b *Tensor) *Tensor { return LinearFused(x, w, b, ActGELU) },
+			func(x, w, b *Tensor) *Tensor { return linearRef(x, w, b, ActGELU) }},
+		{"LinearFused/NoBias",
+			func(x, w, b *Tensor) *Tensor { return LinearFused(x, w, nil, ActTanh) },
+			func(x, w, b *Tensor) *Tensor { return linearRef(x, w, nil, ActTanh) }},
+		{"AddSigmoid",
+			func(x, w, b *Tensor) *Tensor { return AddSigmoid(MatMul(x, w), AddBias(MatMul(x, w), b)) },
+			func(x, w, b *Tensor) *Tensor { return Sigmoid(Add(MatMul(x, w), AddBias(MatMul(x, w), b))) }},
+		{"AddTanh",
+			func(x, w, b *Tensor) *Tensor { return AddTanh(MatMul(x, w), AddBias(MatMul(x, w), b)) },
+			func(x, w, b *Tensor) *Tensor { return Tanh(Add(MatMul(x, w), AddBias(MatMul(x, w), b))) }},
+		{"Lerp",
+			func(x, w, b *Tensor) *Tensor {
+				y := MatMul(x, w)
+				return Lerp(y, AddBias(y, b), Sigmoid(y))
+			},
+			func(x, w, b *Tensor) *Tensor {
+				y := MatMul(x, w)
+				return lerpRef(y, AddBias(y, b), Sigmoid(y))
+			}},
+		{"LinearPairSum",
+			func(x, w, b *Tensor) *Tensor { return LinearPairSum(x, w, b, Tanh(x), w, b) },
+			func(x, w, b *Tensor) *Tensor { return linearPairSumRef(x, w, b, Tanh(x), w, b) }},
 	} {
-		fast := eval(21, tc.build)
-		var ref run
-		withReferenceKernels(t, func() { ref = eval(21, tc.build) })
+		fast := eval(21, tc.fused)
+		ref := eval(21, tc.ref)
 		diff := func(kind string, got, want []float64) {
 			for i := range want {
 				if math.Abs(got[i]-want[i]) > 1e-9 {
-					t.Fatalf("%s: %s[%d] fast %v, reference %v", tc.name, kind, i, got[i], want[i])
+					t.Fatalf("%s: %s[%d] fused %v, reference %v", tc.name, kind, i, got[i], want[i])
 				}
 			}
 		}
@@ -227,13 +238,13 @@ func TestScaledDotAttentionMatchesReference(t *testing.T) {
 		{"Scattered", scattered},
 	} {
 		type run struct{ out, gq, gk, gv []float64 }
-		eval := func() run {
+		eval := func(attend func(q, k, v, mask *Tensor, scale float64) *Tensor) run {
 			rng := rand.New(rand.NewSource(23))
 			q := Randn(rng, 1, 4, 6, 3).Param()
 			k := Randn(rng, 1, 4, 6, 3).Param()
 			v := Randn(rng, 1, 4, 6, 3).Param()
 			c := Randn(rng, 1, 4, 6, 3)
-			y := ScaledDotAttention(q, k, v, tc.mask, 0.5)
+			y := attend(q, k, v, tc.mask, 0.5)
 			Mean(Mul(y, c)).Backward()
 			return run{
 				out: append([]float64(nil), y.Data...),
@@ -242,12 +253,11 @@ func TestScaledDotAttentionMatchesReference(t *testing.T) {
 				gv:  append([]float64(nil), v.Grad...),
 			}
 		}
-		fast := eval()
-		var ref run
-		withReferenceKernels(t, func() { ref = eval() })
+		fast := eval(ScaledDotAttention)
+		ref := eval(scaledDotAttentionRef)
 		for i := range ref.out {
 			if fast.out[i] != ref.out[i] {
-				t.Fatalf("%s: out[%d] fast %v, reference %v (want bit-equal)", tc.name, i, fast.out[i], ref.out[i])
+				t.Fatalf("%s: out[%d] fused %v, reference %v (want bit-equal)", tc.name, i, fast.out[i], ref.out[i])
 			}
 		}
 		for kind, pair := range map[string][2][]float64{
@@ -255,46 +265,57 @@ func TestScaledDotAttentionMatchesReference(t *testing.T) {
 		} {
 			for i := range pair[1] {
 				if math.Abs(pair[0][i]-pair[1][i]) > 1e-9 {
-					t.Fatalf("%s: %s[%d] fast %v, reference %v", tc.name, kind, i, pair[0][i], pair[1][i])
+					t.Fatalf("%s: %s[%d] fused %v, reference %v", tc.name, kind, i, pair[0][i], pair[1][i])
 				}
 			}
 		}
 	}
 }
 
-// TestMatMulKernelsOddShapes exercises the 4-row blocking remainder paths:
-// every m around the block size, including shapes smaller than one block.
+// TestMatMulKernelsOddShapes runs the blocked matmul kernels and the naive
+// reference kernels on the same slices: forward bit-equal, backward within
+// 1e-9. The shapes cover the 4-row blocking remainders (every m around the
+// block size, including shapes smaller than one block), the packed-dot
+// forward (m >= 16, k >= 8), and the unrolled n == 8 dB kernel; zeroed
+// entries of a exercise the zero-skip branches.
 func TestMatMulKernelsOddShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	for _, m := range []int{1, 2, 3, 4, 5, 7, 8, 9} {
+	randSlice := func(n int) []float64 {
+		s := make([]float64, n)
+		for i := range s {
+			s[i] = rng.NormFloat64()
+		}
+		return s
+	}
+	for _, m := range []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 19} {
 		for _, k := range []int{1, 3, 8} {
-			for _, n := range []int{1, 5, 16} {
-				a := Randn(rng, 1, m, k).Param()
-				b := Randn(rng, 1, k, n).Param()
-				c := Randn(rng, 1, m, n)
-				loss := func() *Tensor { a.ZeroGrad(); b.ZeroGrad(); return Mean(Mul(MatMul(a, b), c)) }
-				loss().Backward()
-				fOut := append([]float64(nil), MatMul(a, b).Data...)
-				fGA := append([]float64(nil), a.Grad...)
-				fGB := append([]float64(nil), b.Grad...)
-				var rOut, rGA, rGB []float64
-				withReferenceKernels(t, func() {
-					loss().Backward()
-					rOut = append([]float64(nil), MatMul(a, b).Data...)
-					rGA = append([]float64(nil), a.Grad...)
-					rGB = append([]float64(nil), b.Grad...)
-				})
+			for _, n := range []int{1, 5, 8, 16} {
+				a, b, g := randSlice(m*k), randSlice(k*n), randSlice(m*n)
+				for i := 0; i < len(a); i += 5 {
+					a[i] = 0
+				}
+				fOut, rOut := make([]float64, m*n), make([]float64, m*n)
+				matmulFwd(fOut, a, b, m, k, n)
+				matmulFwdRef(rOut, a, b, m, k, n)
 				for i := range rOut {
 					if fOut[i] != rOut[i] {
 						t.Fatalf("m=%d k=%d n=%d: forward[%d] fast %v, reference %v (want bit-equal)",
 							m, k, n, i, fOut[i], rOut[i])
 					}
 				}
+				fGA, rGA := make([]float64, m*k), make([]float64, m*k)
+				bt := make([]float64, k*n)
+				packTranspose(bt, b, k, n)
+				matmulBwdAPacked(fGA, g, bt, m, k, n)
+				matmulBwdARef(rGA, g, b, m, k, n)
 				for i := range rGA {
 					if math.Abs(fGA[i]-rGA[i]) > 1e-9 {
 						t.Fatalf("m=%d k=%d n=%d: dA[%d] fast %v, reference %v", m, k, n, i, fGA[i], rGA[i])
 					}
 				}
+				fGB, rGB := make([]float64, k*n), make([]float64, k*n)
+				matmulBwdB(fGB, a, g, m, k, n)
+				matmulBwdBRef(rGB, a, g, m, k, n)
 				for i := range rGB {
 					if math.Abs(fGB[i]-rGB[i]) > 1e-9 {
 						t.Fatalf("m=%d k=%d n=%d: dB[%d] fast %v, reference %v", m, k, n, i, fGB[i], rGB[i])
@@ -351,16 +372,6 @@ func TestAllocFromFallbacks(t *testing.T) {
 	if len(huge) != (1<<maxClassShift)+1 {
 		t.Fatalf("oversized alloc length %d", len(huge))
 	}
-	withReferenceKernels(t, func() {
-		// Reference mode must not pool: pointers differ across Reset.
-		b1 := allocFrom(a, 64)
-		p := &b1[0]
-		a.Reset()
-		b2 := allocFrom(a, 64)
-		if &b2[0] == p {
-			t.Fatalf("reference mode reused an arena buffer")
-		}
-	})
 }
 
 // TestArenaPropagation verifies the arena tag flows from an input through

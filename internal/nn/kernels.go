@@ -1,12 +1,12 @@
 package nn
 
-// Matmul kernels. The fast path register-blocks over four rows of A so each
+// Matmul kernels. They register-block over four rows of A so each
 // streamed row of B (or of the packed Bᵀ) is reused four times from
 // registers, and slices every row once up front so the compiler can
 // eliminate bounds checks in the inner loops. Per-output-element summation
-// order (p ascending) matches the reference kernels, so forward results are
-// bit-compatible; backward kernels regroup additions and agree within
-// ~1e-12 (see the differential tests).
+// order (p ascending) matches the naive reference kernels kept as test
+// oracles (reference_test.go), so forward results are bit-compatible;
+// backward kernels regroup additions and agree within ~1e-12.
 
 // getScratch borrows a transient kernel workspace (packed transposes) from
 // the global size-class pools, so kernels without an arena in reach stay
@@ -42,10 +42,6 @@ func putScratch(bp *[]float64) {
 // p-ascending order, so the choice does not change results. Small or thin
 // shapes keep the axpy form, whose zero-skip and lack of packing win there.
 func matmulFwd(dst, a, b []float64, m, k, n int) {
-	if refKernels.Load() {
-		matmulFwdRef(dst, a, b, m, k, n)
-		return
-	}
 	if m >= 16 && k >= 8 {
 		bp, bt := getScratch(k * n)
 		packTranspose(bt, b, k, n)
@@ -87,23 +83,6 @@ func matmulFwd(dst, a, b []float64, m, k, n int) {
 			row := b[p*n : p*n+n]
 			for j, bv := range row {
 				ri[j] += av * bv
-			}
-		}
-	}
-}
-
-// matmulFwdRef is the original triple loop (zero-skip on A elements).
-func matmulFwdRef(dst, a, b []float64, m, k, n int) {
-	for i := 0; i < m; i++ {
-		for p := 0; p < k; p++ {
-			av := a[i*k+p]
-			if av == 0 {
-				continue
-			}
-			bRow := b[p*n : (p+1)*n]
-			oRow := dst[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				oRow[j] += av * bRow[j]
 			}
 		}
 	}
@@ -164,34 +143,13 @@ func matmulBwdAPacked(dA, g, bt []float64, m, k, n int) {
 	}
 }
 
-// matmulBwdARef is the original dot-product formulation of dA += g·bᵀ
-// reading b in its native [k,n] layout.
-func matmulBwdARef(dA, g, b []float64, m, k, n int) {
-	for i := 0; i < m; i++ {
-		for p := 0; p < k; p++ {
-			var s float64
-			bRow := b[p*n : (p+1)*n]
-			gRow := g[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				s += gRow[j] * bRow[j]
-			}
-			dA[i*k+p] += s
-		}
-	}
-}
-
-// matmulBwdB accumulates dB += aᵀ·g with a [m,k], g [m,n]. The fast path
-// iterates rows of a (unit-stride reads, unlike the reference kernel's
+// matmulBwdB accumulates dB += aᵀ·g with a [m,k], g [m,n]. It iterates rows of a (unit-stride reads, unlike the reference kernel's
 // stride-k column walk) and blocks four rows per pass so each dB row is
 // loaded and stored once per four gradient rows. (A packed-dot form like
 // matmulFwd's is a loss here: it needs both aᵀ and gᵀ, and those packs
 // write [k,m]/[n,m] buffers at stride m — one cache miss per element at
 // training shapes.)
 func matmulBwdB(dB, a, g []float64, m, k, n int) {
-	if refKernels.Load() {
-		matmulBwdBRef(dB, a, g, m, k, n)
-		return
-	}
 	if n == 8 {
 		matmulBwdBN8(dB, a, g, m, k)
 		return
@@ -281,24 +239,6 @@ func matmulBwdBN8(dB, a, g []float64, m, k int) {
 			row[5] += av * gi[5]
 			row[6] += av * gi[6]
 			row[7] += av * gi[7]
-		}
-	}
-}
-
-// matmulBwdBRef is the original dB += aᵀ·g loop (p-outer, strided reads of
-// a's columns).
-func matmulBwdBRef(dB, a, g []float64, m, k, n int) {
-	for p := 0; p < k; p++ {
-		for i := 0; i < m; i++ {
-			av := a[i*k+p]
-			if av == 0 {
-				continue
-			}
-			gRow := g[i*n : (i+1)*n]
-			bgRow := dB[p*n : (p+1)*n]
-			for j := 0; j < n; j++ {
-				bgRow[j] += av * gRow[j]
-			}
 		}
 	}
 }

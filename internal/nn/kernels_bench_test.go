@@ -5,13 +5,10 @@ import (
 	"testing"
 )
 
-// benchmarkMatMul times one forward + backward of a training-shaped matmul
-// (batch·time rows against a d_model×d_model weight) under the active
-// kernel mode, including the graph and gradient-buffer allocations the
-// arena is meant to absorb.
-func benchmarkMatMul(b *testing.B, reference bool) {
-	UseReferenceKernels(reference)
-	defer UseReferenceKernels(false)
+// BenchmarkMatMul times one forward + backward of a training-shaped matmul
+// (batch·time rows against a d_model×d_model weight), including the graph
+// and gradient-buffer allocations the arena is meant to absorb.
+func BenchmarkMatMul(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	const rows, d = 256, 64
 	x := Randn(rng, 1, rows, d)
@@ -26,6 +23,3 @@ func benchmarkMatMul(b *testing.B, reference bool) {
 		arena.Reset()
 	}
 }
-
-func BenchmarkMatMul(b *testing.B)          { benchmarkMatMul(b, false) }
-func BenchmarkMatMulReference(b *testing.B) { benchmarkMatMul(b, true) }

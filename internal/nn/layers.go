@@ -21,8 +21,7 @@ func NewLinear(rng *rand.Rand, in, out int) *Linear {
 }
 
 // Forward applies the layer to x of shape [..., in]. It runs as a single
-// fused matmul+bias node (the reference-kernel path decomposes it into the
-// original MatMul and AddBias ops).
+// fused matmul+bias node.
 func (l *Linear) Forward(x *Tensor) *Tensor {
 	return LinearFused(x, l.W, l.B, ActIdentity)
 }

@@ -141,26 +141,15 @@ func MatMul(a, b *Tensor) *Tensor {
 	return result(outShape, data, func(out *Tensor) {
 		if a.requiresGrad {
 			// dA = dOut · Bᵀ
-			if refKernels.Load() {
-				for t := 0; t < batch; t++ {
-					bo := 0
-					if !shared {
-						bo = t * k * n
-					}
-					matmulBwdARef(a.Grad[t*m*k:(t+1)*m*k], out.Grad[t*m*n:(t+1)*m*n],
-						b.Data[bo:bo+k*n], m, k, n)
-				}
+			bt := allocFromUninit(out.arena, k*n)
+			if shared {
+				packTranspose(bt, b.Data, k, n)
+				matmulBwdAPacked(a.Grad, out.Grad, bt, batch*m, k, n)
 			} else {
-				bt := allocFromUninit(out.arena, k*n)
-				if shared {
-					packTranspose(bt, b.Data, k, n)
-					matmulBwdAPacked(a.Grad, out.Grad, bt, batch*m, k, n)
-				} else {
-					for t := 0; t < batch; t++ {
-						packTranspose(bt, b.Data[t*k*n:(t+1)*k*n], k, n)
-						matmulBwdAPacked(a.Grad[t*m*k:(t+1)*m*k], out.Grad[t*m*n:(t+1)*m*n],
-							bt, m, k, n)
-					}
+				for t := 0; t < batch; t++ {
+					packTranspose(bt, b.Data[t*k*n:(t+1)*k*n], k, n)
+					matmulBwdAPacked(a.Grad[t*m*k:(t+1)*m*k], out.Grad[t*m*n:(t+1)*m*n],
+						bt, m, k, n)
 				}
 			}
 		}

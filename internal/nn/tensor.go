@@ -114,8 +114,8 @@ func (t *Tensor) Item() float64 {
 }
 
 // result builds an op output that links into the autodiff graph when any
-// parent requires gradients. On the fast path the output node itself comes
-// from the inputs' arena, which recycles the Tensor struct together with
+// parent requires gradients. With an arena in reach the output node itself
+// comes from the inputs' arena, which recycles the Tensor struct together with
 // its Shape and parent-list capacity; copying the variadic parents into the
 // pooled slice also lets the compiler keep the call-site argument slice off
 // the heap.
@@ -131,7 +131,7 @@ func result(shape []int, data []float64, back func(out *Tensor), parents ...*Ten
 		}
 	}
 	var out *Tensor
-	if ar != nil && !refKernels.Load() {
+	if ar != nil {
 		out = ar.node()
 		out.Shape = append(out.Shape, shape...)
 		out.Data = data
@@ -164,8 +164,8 @@ func (t *Tensor) Backward() {
 	if !t.requiresGrad {
 		return
 	}
-	// Topological order via iterative DFS. On the fast path the traversal
-	// scratch comes from the arena, so steady-state training steps reuse
+	// Topological order via iterative DFS. With an arena the traversal
+	// scratch comes from it, so steady-state training steps reuse
 	// the visited set, order, and stack instead of reallocating them.
 	var (
 		order []*Tensor
@@ -173,8 +173,7 @@ func (t *Tensor) Backward() {
 		stack []bwFrame
 	)
 	ar := t.arena
-	pooled := ar != nil && !refKernels.Load()
-	if pooled {
+	if ar != nil {
 		if ar.bwSeen == nil {
 			ar.bwSeen = make(map[*Tensor]bool)
 		}
@@ -201,7 +200,7 @@ func (t *Tensor) Backward() {
 		order = append(order, f.node)
 		stack = stack[:len(stack)-1]
 	}
-	if pooled {
+	if ar != nil {
 		// Hand the (possibly grown) scratch back for the next step.
 		ar.bwOrder = order
 		ar.bwStack = stack
