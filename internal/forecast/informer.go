@@ -60,6 +60,7 @@ func (p *probSparseAttention) forward(x *nn.Tensor) *nn.Tensor {
 	uniform := nn.ZerosLike(scores, bh, t, t) // 1/T on rows of lazy queries
 	measure := make([]float64, t)             // M(q) per query
 	order := make([]int, t)                   // query indices sorted by M(q)
+	active := make([]bool, t)                 // top-u membership, reset per batch-head
 	for b := 0; b < bh; b++ {
 		base := b * t * t
 		for qi := 0; qi < t; qi++ {
@@ -84,7 +85,7 @@ func (p *probSparseAttention) forward(x *nn.Tensor) *nn.Tensor {
 			}
 			order[i], order[best] = order[best], order[i]
 		}
-		active := make(map[int]bool, u)
+		clear(active)
 		for i := 0; i < u; i++ {
 			active[order[i]] = true
 		}

@@ -63,3 +63,4 @@ func benchmarkStep(b *testing.B, modelName string) {
 
 func BenchmarkGRUStep(b *testing.B)         { benchmarkStep(b, "GRU") }
 func BenchmarkTransformerStep(b *testing.B) { benchmarkStep(b, "Transformer") }
+func BenchmarkInformerStep(b *testing.B)    { benchmarkStep(b, "Informer") }

@@ -95,7 +95,10 @@ func trainNeural(ctx context.Context, net network, cfg Config, rng *rand.Rand, t
 		if len(valIn) == 0 {
 			continue
 		}
-		v := evalMSE(net, cfg, valIn, valTgt)
+		// The validation pass runs in the training arena: its buffers are
+		// recycled epoch to epoch instead of being drawn from the global
+		// pools, which a GC may have emptied since the previous epoch.
+		v := evalMSE(net, cfg, valIn, valTgt, arena)
 		if v < bestVal-1e-9 {
 			bestVal = v
 			best = snapshot(params)
@@ -113,8 +116,8 @@ func trainNeural(ctx context.Context, net network, cfg Config, rng *rand.Rand, t
 	return nil
 }
 
-func evalMSE(net network, cfg Config, inputs, targets [][]float64) float64 {
-	preds := predictNeural(net, cfg, inputs)
+func evalMSE(net network, cfg Config, inputs, targets [][]float64, arena *nn.Arena) float64 {
+	preds := predictInArena(net, cfg, inputs, arena)
 	var s float64
 	var n int
 	for i := range preds {
@@ -132,9 +135,15 @@ func evalMSE(net network, cfg Config, inputs, targets [][]float64) float64 {
 
 // predictNeural evaluates the network in inference mode.
 func predictNeural(net network, cfg Config, inputs [][]float64) [][]float64 {
-	out := make([][]float64, 0, len(inputs))
 	arena := nn.NewArena()
 	defer arena.Release()
+	return predictInArena(net, cfg, inputs, arena)
+}
+
+// predictInArena is predictNeural drawing every buffer from arena, which it
+// resets after each batch; no tensor from arena may be live on entry.
+func predictInArena(net network, cfg Config, inputs [][]float64, arena *nn.Arena) [][]float64 {
+	out := make([][]float64, 0, len(inputs))
 	const bs = 64
 	for start := 0; start < len(inputs); start += bs {
 		end := start + bs

@@ -137,9 +137,8 @@ func LinearFused(x, w, b *Tensor, act Activation) *Tensor {
 			matmulBwdB(w.Grad, x.Data, dpre, rows, in, out)
 		}
 		if x.requiresGrad {
-			// dX = g·wᵀ reads w's rows directly with unit stride — no
-			// packed transpose needed for the weight layout.
-			matmulNT(x.Grad, dpre, w.Data, rows, in, out)
+			// dX = g·wᵀ; the AVX2 path packs wᵀ once into arena scratch.
+			matmulNT(x.Grad, dpre, w.Data, ntScratch(o.arena, in*out), rows, in, out)
 		}
 	}
 	if b != nil {
@@ -261,7 +260,7 @@ func LinearPairSum(a, wa, ba, b, wb, bb *Tensor) *Tensor {
 				matmulBwdB(side.w.Grad, side.x.Data, g, rows, side.in, out)
 			}
 			if side.x.requiresGrad {
-				matmulNT(side.x.Grad, g, side.w.Data, rows, side.in, out)
+				matmulNT(side.x.Grad, g, side.w.Data, ntScratch(o.arena, side.in*out), rows, side.in, out)
 			}
 		}
 	}, a, wa, ba, b, wb, bb)
@@ -320,11 +319,12 @@ func ScaledDotAttention(q, k, v, mask *Tensor, scale float64) *Tensor {
 	// probs holds the scores in place until the row softmax overwrites them.
 	// The prefix path needs the masked suffixes zeroed (they stay exactly 0
 	// through the whole op); the dense path overwrites every element.
-	var probs []float64
+	var probs, kt []float64
 	if rowEnd != nil {
 		probs = allocFrom(ar, bh*tq*tk)
 	} else {
 		probs = allocFromUninit(ar, bh*tq*tk)
+		kt = ntScratch(ar, tk*dh)
 	}
 	data := allocFrom(ar, bh*tq*dh)
 	for b := 0; b < bh; b++ {
@@ -334,7 +334,7 @@ func ScaledDotAttention(q, k, v, mask *Tensor, scale float64) *Tensor {
 		if rowEnd != nil {
 			matmulNTPrefix(pb, qb, kb, tq, tk, dh, rowEnd)
 		} else {
-			matmulNTStore(pb, qb, kb, tq, tk, dh)
+			matmulNTStore(pb, qb, kb, kt, tq, tk, dh)
 		}
 		for i := 0; i < tq; i++ {
 			row := pb[i*tk : (i+1)*tk]
@@ -388,8 +388,11 @@ func ScaledDotAttention(q, k, v, mask *Tensor, scale float64) *Tensor {
 		// live region each head; on the prefix path one upfront clear keeps
 		// the never-written masked suffixes at zero for the dQ/dK matmuls.
 		dp := allocFromUninit(o.arena, tq*tk)
+		var vt []float64
 		if rowEnd != nil {
 			clear(dp)
+		} else {
+			vt = ntScratch(o.arena, tk*dh)
 		}
 		for b := 0; b < bh; b++ {
 			gb := o.Grad[b*tq*dh : (b+1)*tq*dh]
@@ -398,7 +401,7 @@ func ScaledDotAttention(q, k, v, mask *Tensor, scale float64) *Tensor {
 			if rowEnd != nil {
 				matmulNTPrefix(dp, gb, vb, tq, tk, dh, rowEnd) // dP = g·vᵀ, live region only
 			} else {
-				matmulNTStore(dp, gb, vb, tq, tk, dh) // dP = g·vᵀ
+				matmulNTStore(dp, gb, vb, vt, tq, tk, dh) // dP = g·vᵀ
 			}
 			if v.requiresGrad {
 				matmulBwdB(v.Grad[b*tk*dh:(b+1)*tk*dh], pb, gb, tq, tk, dh) // dV += Pᵀ·g

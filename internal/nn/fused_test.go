@@ -275,9 +275,12 @@ func TestScaledDotAttentionMatchesReference(t *testing.T) {
 // TestMatMulKernelsOddShapes runs the blocked matmul kernels and the naive
 // reference kernels on the same slices: forward bit-equal, backward within
 // 1e-9. The shapes cover the 4-row blocking remainders (every m around the
-// block size, including shapes smaller than one block), the packed-dot
-// forward (m >= 16, k >= 8), and the unrolled n == 8 dB kernel; zeroed
-// entries of a exercise the zero-skip branches.
+// block size, including shapes smaller than one block), the dot form
+// (m >= 16, k >= 8), and the unrolled n == 8 dB kernel; zeroed entries of
+// a exercise the zero-skip branches. A second forward pass starts from a
+// non-zero dst, as LinearFused's bias rows do: there the axpy and dot forms
+// round differently, so each shape is held to the reference of the form
+// its shape selects.
 func TestMatMulKernelsOddShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	randSlice := func(n int) []float64 {
@@ -300,6 +303,20 @@ func TestMatMulKernelsOddShapes(t *testing.T) {
 				for i := range rOut {
 					if fOut[i] != rOut[i] {
 						t.Fatalf("m=%d k=%d n=%d: forward[%d] fast %v, reference %v (want bit-equal)",
+							m, k, n, i, fOut[i], rOut[i])
+					}
+				}
+				fOut = randSlice(m * n)
+				copy(rOut, fOut)
+				matmulFwd(fOut, a, b, m, k, n)
+				if m >= 16 && k >= 8 {
+					matmulFwdDotRef(rOut, a, b, m, k, n)
+				} else {
+					matmulFwdRef(rOut, a, b, m, k, n)
+				}
+				for i := range rOut {
+					if math.Float64bits(fOut[i]) != math.Float64bits(rOut[i]) {
+						t.Fatalf("m=%d k=%d n=%d: forward[%d] onto non-zero dst: fast %v, reference %v (want bit-equal)",
 							m, k, n, i, fOut[i], rOut[i])
 					}
 				}

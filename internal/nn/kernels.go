@@ -2,11 +2,15 @@ package nn
 
 // Matmul kernels. They register-block over four rows of A so each
 // streamed row of B (or of the packed Bᵀ) is reused four times from
-// registers, and slices every row once up front so the compiler can
-// eliminate bounds checks in the inner loops. Per-output-element summation
-// order (p ascending) matches the naive reference kernels kept as test
-// oracles (reference_test.go), so forward results are bit-compatible;
-// backward kernels regroup additions and agree within ~1e-12.
+// registers, and slice every row once up front so the compiler can
+// eliminate bounds checks in the inner loops.
+//
+// On amd64 CPUs with AVX2 (useAVX2) the hot kernels run the assembly
+// micro-kernels of kernels_amd64.s on their 4-row, 4- or 8-column tiles,
+// and Go computes the row and column remainders. The assembly multiplies and
+// adds (never FMA) in the Go kernels' order, so both paths give the same
+// bits; the Go forms (the *Go functions) are the fallback elsewhere and the
+// oracles of the differential tests.
 
 // getScratch borrows a transient kernel workspace (packed transposes) from
 // the global size-class pools, so kernels without an arena in reach stay
@@ -35,17 +39,31 @@ func putScratch(bp *[]float64) {
 // dst [m,n]. dst must be pre-initialised (zero, or bias rows for the fused
 // linear op).
 //
-// Large shapes run as a packed transpose of b followed by the dot-product
-// kernel: the axpy form below loads and stores every dst element k/4 times,
-// while the dot form stores each once, which measures 1.4–1.6× faster at
-// training shapes despite the packing pass. Both sum each output in
-// p-ascending order, so the choice does not change results. Small or thin
-// shapes keep the axpy form, whose zero-skip and lack of packing win there.
+// Large shapes (m >= 16 and k >= 8) take the dot form: each output sums its
+// products from zero in p-ascending order and is then added to dst once.
+// The axpy form below instead adds every product straight into dst, loading
+// and storing each dst element k/4 times; the dot form measures 1.4–1.6×
+// faster at training shapes. The two forms round differently whenever dst
+// starts non-zero (the bias rows of LinearFused), so the m >= 16, k >= 8
+// threshold is part of the output contract the forecast and grid goldens
+// pin. Small or thin shapes keep the axpy form, whose zero-skip and lack of
+// packing win there.
 func matmulFwd(dst, a, b []float64, m, k, n int) {
+	if m >= 16 && k >= 8 && useAVX2 {
+		// The tile reads b's rows directly: no packed transpose.
+		matmulDot(dst, a, b, m, k, n, dotAcc)
+		return
+	}
+	matmulFwdGo(dst, a, b, m, k, n)
+}
+
+// matmulFwdGo is matmulFwd in Go: the dot form runs on a packed transpose
+// of b through matmulNTGo.
+func matmulFwdGo(dst, a, b []float64, m, k, n int) {
 	if m >= 16 && k >= 8 {
 		bp, bt := getScratch(k * n)
 		packTranspose(bt, b, k, n)
-		matmulNT(dst, a, bt, m, n, k)
+		matmulNTGo(dst, a, bt, m, n, k)
 		putScratch(bp)
 		return
 	}
@@ -102,24 +120,47 @@ func packTranspose(dst, b []float64, k, n int) {
 // matmulBwdAPacked accumulates dA += g·bᵀ with g [m,n] and bt the packed
 // transpose of b ([n,k]): the inner p-loop is unit-stride over both the
 // gradient row and the packed row, and the zero-skip check is hoisted to
-// one test per gradient element.
+// one test per gradient element. With AVX2 the four-row blocks run as the
+// axpy tile on columns [0, k&^3) of dA; the column and row tails follow in
+// Go, each element taking the same updates in the same order.
 func matmulBwdAPacked(dA, g, bt []float64, m, k, n int) {
-	i := 0
-	for ; i+4 <= m; i += 4 {
+	if !useAVX2 || m < 4 || k < 4 || n == 0 {
+		matmulBwdAPackedGo(dA, g, bt, m, k, n)
+		return
+	}
+	m4, k4 := m&^3, k&^3
+	gemmAVX2(dA[:m*k], g[:m*n], bt[:n*k], m, n, k, dotAxpy)
+	if k4 < k {
+		matmulBwdAPackedBlocks(dA, g, bt, m4, k, n, k4)
+	}
+	matmulBwdAPackedRows(dA, g, bt, m4, m, k, n)
+}
+
+// matmulBwdAPackedGo is matmulBwdAPacked in Go.
+func matmulBwdAPackedGo(dA, g, bt []float64, m, k, n int) {
+	m4 := m &^ 3
+	matmulBwdAPackedBlocks(dA, g, bt, m4, k, n, 0)
+	matmulBwdAPackedRows(dA, g, bt, m4, m, k, n)
+}
+
+// matmulBwdAPackedBlocks runs matmulBwdAPacked's four-row blocks over rows
+// [0, m4) on the columns [p0, k) of dA.
+func matmulBwdAPackedBlocks(dA, g, bt []float64, m4, k, n, p0 int) {
+	for i := 0; i < m4; i += 4 {
 		g0 := g[(i+0)*n : (i+0)*n+n]
 		g1 := g[(i+1)*n : (i+1)*n+n]
 		g2 := g[(i+2)*n : (i+2)*n+n]
 		g3 := g[(i+3)*n : (i+3)*n+n]
-		d0 := dA[(i+0)*k : (i+0)*k+k]
-		d1 := dA[(i+1)*k : (i+1)*k+k]
-		d2 := dA[(i+2)*k : (i+2)*k+k]
-		d3 := dA[(i+3)*k : (i+3)*k+k]
+		d0 := dA[(i+0)*k+p0 : (i+0)*k+k]
+		d1 := dA[(i+1)*k+p0 : (i+1)*k+k]
+		d2 := dA[(i+2)*k+p0 : (i+2)*k+k]
+		d3 := dA[(i+3)*k+p0 : (i+3)*k+k]
 		for j := 0; j < n; j++ {
 			v0, v1, v2, v3 := g0[j], g1[j], g2[j], g3[j]
 			if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
 				continue
 			}
-			bj := bt[j*k : j*k+k]
+			bj := bt[j*k+p0 : j*k+k]
 			for p, bv := range bj {
 				d0[p] += v0 * bv
 				d1[p] += v1 * bv
@@ -128,7 +169,11 @@ func matmulBwdAPacked(dA, g, bt []float64, m, k, n int) {
 			}
 		}
 	}
-	for ; i < m; i++ {
+}
+
+// matmulBwdAPackedRows adds the single-row updates of rows [i0, m) to dA.
+func matmulBwdAPackedRows(dA, g, bt []float64, i0, m, k, n int) {
+	for i := i0; i < m; i++ {
 		gi := g[i*n : i*n+n]
 		di := dA[i*k : i*k+k]
 		for j, gv := range gi {
@@ -143,39 +188,70 @@ func matmulBwdAPacked(dA, g, bt []float64, m, k, n int) {
 	}
 }
 
-// matmulBwdB accumulates dB += aᵀ·g with a [m,k], g [m,n]. It iterates rows of a (unit-stride reads, unlike the reference kernel's
-// stride-k column walk) and blocks four rows per pass so each dB row is
-// loaded and stored once per four gradient rows. (A packed-dot form like
+// matmulBwdB accumulates dB += aᵀ·g with a [m,k], g [m,n]. It iterates
+// rows of a (unit-stride reads, unlike the reference kernel's stride-k
+// column walk) and blocks four rows per pass so each dB row is loaded and
+// stored once per four gradient rows: dB[p][j] += a0p·g0[j] + a1p·g1[j] +
+// a2p·g2[j] + a3p·g3[j], summed left to right. (A packed-dot form like
 // matmulFwd's is a loss here: it needs both aᵀ and gᵀ, and those packs
 // write [k,m]/[n,m] buffers at stride m — one cache miss per element at
 // training shapes.)
+//
+// With AVX2 the four-row blocks run vectorised across j on columns
+// [0, n&^3); every dB element still takes the same updates in the same
+// order, so the column tail and the row tail can follow in Go.
 func matmulBwdB(dB, a, g []float64, m, k, n int) {
+	if !useAVX2 || m < 4 || k == 0 || n < 4 {
+		matmulBwdBGo(dB, a, g, m, k, n)
+		return
+	}
+	m4, n4 := m&^3, n&^3
+	bwdBAVX2(dB[:k*n], a[:m*k], g[:m*n], m, k, n)
+	if n4 < n {
+		matmulBwdBBlocks(dB, a, g, m4, k, n, n4)
+	}
+	matmulBwdBRows(dB, a, g, m4, m, k, n)
+}
+
+// matmulBwdBGo is matmulBwdB in Go.
+func matmulBwdBGo(dB, a, g []float64, m, k, n int) {
 	if n == 8 {
 		matmulBwdBN8(dB, a, g, m, k)
 		return
 	}
-	i := 0
-	for ; i+4 <= m; i += 4 {
+	m4 := m &^ 3
+	matmulBwdBBlocks(dB, a, g, m4, k, n, 0)
+	matmulBwdBRows(dB, a, g, m4, m, k, n)
+}
+
+// matmulBwdBBlocks runs matmulBwdB's four-row blocks over rows [0, m4) on
+// the columns [j0, n) of dB.
+func matmulBwdBBlocks(dB, a, g []float64, m4, k, n, j0 int) {
+	for i := 0; i < m4; i += 4 {
 		a0 := a[(i+0)*k : (i+0)*k+k]
 		a1 := a[(i+1)*k : (i+1)*k+k]
 		a2 := a[(i+2)*k : (i+2)*k+k]
 		a3 := a[(i+3)*k : (i+3)*k+k]
-		g0 := g[(i+0)*n : (i+0)*n+n]
-		g1 := g[(i+1)*n : (i+1)*n+n]
-		g2 := g[(i+2)*n : (i+2)*n+n]
-		g3 := g[(i+3)*n : (i+3)*n+n]
+		g0 := g[(i+0)*n+j0 : (i+0)*n+n]
+		g1 := g[(i+1)*n+j0 : (i+1)*n+n]
+		g2 := g[(i+2)*n+j0 : (i+2)*n+n]
+		g3 := g[(i+3)*n+j0 : (i+3)*n+n]
 		for p := 0; p < k; p++ {
 			v0, v1, v2, v3 := a0[p], a1[p], a2[p], a3[p]
 			if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
 				continue
 			}
-			row := dB[p*n : p*n+n]
+			row := dB[p*n+j0 : p*n+n]
 			for j := range row {
 				row[j] += v0*g0[j] + v1*g1[j] + v2*g2[j] + v3*g3[j]
 			}
 		}
 	}
-	for ; i < m; i++ {
+}
+
+// matmulBwdBRows adds the single-row updates of rows [i0, m) to dB.
+func matmulBwdBRows(dB, a, g []float64, i0, m, k, n int) {
+	for i := i0; i < m; i++ {
 		ai := a[i*k : i*k+k]
 		gi := g[i*n : i*n+n]
 		for p, av := range ai {
@@ -243,13 +319,82 @@ func matmulBwdBN8(dB, a, g []float64, m, k int) {
 	}
 }
 
+// dot modes of matmulDot and gemmAVX2.
+const (
+	dotAcc        = iota // dst += s, s summed from +0
+	dotStore             // dst = s, s summed from +0
+	dotStoreFirst        // dst = s, s summed from the first product
+	dotAxpy              // matmulBwdAPacked's axpy tile (gemmAVX2 only)
+)
+
+// matmulDot computes every output of dst [m,n] as the p-ascending sum s of
+// a[i][p]·b[p][j] over a [m,k] and b [k,n], then adds s to dst or stores
+// it, by mode. This is the dot form of matmulFwd and, on a packed bᵀ, of
+// the matmulNT kernels. The AVX2 tile covers rows [0, m&^3) and columns
+// [0, n&^3); Go computes the rest with the same per-element sum.
+func matmulDot(dst, a, b []float64, m, k, n, mode int) {
+	m4, n4 := m&^3, n&^3
+	if m4 > 0 && n4 > 0 && k > 0 {
+		gemmAVX2(dst[:m*n], a[:m*k], b[:k*n], m, k, n, mode)
+		dotRange(dst, a, b, 0, m4, n4, k, n, mode)
+	} else {
+		m4 = 0
+	}
+	dotRange(dst, a, b, m4, m, 0, k, n, mode)
+}
+
+// dotRange is matmulDot in Go on rows [i0, i1) and columns [j0, n).
+func dotRange(dst, a, b []float64, i0, i1, j0, k, n, mode int) {
+	for i := i0; i < i1; i++ {
+		ai := a[i*k : i*k+k]
+		di := dst[i*n : i*n+n]
+		for j := j0; j < n; j++ {
+			var s float64
+			p := 0
+			if mode == dotStoreFirst {
+				s, p = ai[0]*b[j], 1
+			}
+			for ; p < k; p++ {
+				s += ai[p] * b[p*n+j]
+			}
+			if mode == dotAcc {
+				di[j] += s
+			} else {
+				di[j] = s
+			}
+		}
+	}
+}
+
+// ntScratch returns the pack buffer of length n that matmulNT and
+// matmulNTStore need for bᵀ on the AVX2 path, drawn from the op's arena;
+// nil without AVX2, where the Go kernels read b directly.
+func ntScratch(ar *Arena, n int) []float64 {
+	if !useAVX2 {
+		return nil
+	}
+	return allocFromUninit(ar, n)
+}
+
 // matmulNT accumulates dst += a·bᵀ for row-major a [m,d], b [n,d],
-// dst [m,n] — both operands read with unit stride, so q·kᵀ attention
-// scores and the fused-linear dX = g·wᵀ need no transposed copy of the
-// right operand. Four rows of a run per pass as independent dot-product
-// chains for instruction-level parallelism; the c-ascending summation
-// matches the reference MatMul(a, Transpose(b)) order bit for bit.
-func matmulNT(dst, a, b []float64, m, n, d int) {
+// dst [m,n]. With AVX2 it packs bᵀ into bt (length n·d, see ntScratch) and
+// runs the dot tile on it; otherwise it runs matmulNTGo on b directly.
+func matmulNT(dst, a, b, bt []float64, m, n, d int) {
+	if !useAVX2 || m < 4 || n < 4 {
+		matmulNTGo(dst, a, b, m, n, d)
+		return
+	}
+	packTranspose(bt, b, n, d)
+	matmulDot(dst, a, bt, m, d, n, dotAcc)
+}
+
+// matmulNTGo is matmulNT in Go. Both operands are read with unit stride,
+// so q·kᵀ attention scores and the fused-linear dX = g·wᵀ need no
+// transposed copy of the right operand. Four rows of a run per pass as
+// independent dot-product chains for instruction-level parallelism; the
+// c-ascending summation matches the reference MatMul(a, Transpose(b)) order
+// bit for bit.
+func matmulNTGo(dst, a, b []float64, m, n, d int) {
 	i := 0
 	for ; i+4 <= m; i += 4 {
 		a0 := a[(i+0)*d : (i+0)*d+d]
@@ -291,14 +436,30 @@ func matmulNT(dst, a, b []float64, m, n, d int) {
 
 // matmulNTStore is matmulNT with store semantics (dst = a·bᵀ instead of
 // dst += a·bᵀ): callers with a fully-overwritten destination skip both the
-// zero fill of the buffer and the read-modify-write of each element.
+// zero fill of the buffer and the read-modify-write of each element. bt is
+// the pack buffer, as for matmulNT.
+func matmulNTStore(dst, a, b, bt []float64, m, n, d int) {
+	if !useAVX2 || m < 4 || n < 4 {
+		matmulNTStoreGo(dst, a, b, m, n, d)
+		return
+	}
+	packTranspose(bt, b, n, d)
+	mode := dotStore
+	if d == 8 {
+		mode = dotStoreFirst // matmulNTStoreD8 sums from the first product
+	}
+	matmulDot(dst, a, bt, m, d, n, mode)
+}
+
+// matmulNTStoreGo is matmulNTStore in Go.
 //
 // d == 8 — the per-head depth of attention scores and dP at the default
 // d_model — gets a fully unrolled dot: the loop-carried counter and bounds
 // checks dominate 8-element dots, and unrolling measures ~1.6× faster. The
-// unrolled expression is left-associative in c-ascending order, so it is
-// bit-identical to the loop.
-func matmulNTStore(dst, a, b []float64, m, n, d int) {
+// unrolled expression is left-associative in c-ascending order but starts
+// from the first product rather than from +0, so it differs from the loop
+// only in the sign of an all-zero sum.
+func matmulNTStoreGo(dst, a, b []float64, m, n, d int) {
 	if d == 8 {
 		matmulNTStoreD8(dst, a, b, m, n)
 		return

@@ -24,6 +24,20 @@ func matmulFwdRef(dst, a, b []float64, m, k, n int) {
 	}
 }
 
+// matmulFwdDotRef is the naive dot form of dst += a·b: each output sums
+// its products from zero in p-ascending order and is added to dst once.
+func matmulFwdDotRef(dst, a, b []float64, m, k, n int) {
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var s float64
+			for p := 0; p < k; p++ {
+				s += a[i*k+p] * b[p*n+j]
+			}
+			dst[i*n+j] += s
+		}
+	}
+}
+
 // matmulBwdARef is the original dot-product formulation of dA += g·bᵀ
 // reading b in its native [k,n] layout.
 func matmulBwdARef(dA, g, b []float64, m, k, n int) {
