@@ -1,8 +1,7 @@
-// Streaming: the chunked data plane end to end — generate a dataset chunk
-// by chunk, compress it incrementally at the edge, decode it chunk by chunk
-// in the cloud, and verify the whole path is byte-identical to batch
-// processing. Nothing in this program ever holds the full series except the
-// final batch comparison.
+// Streaming: the chunked data plane end to end — read a dataset chunk by
+// chunk, compress it incrementally at the edge, decode it chunk by chunk in
+// the cloud, and verify the whole path is byte-identical to batch
+// processing.
 package main
 
 import (
@@ -22,9 +21,9 @@ func main() {
 		eps     = 0.05
 	)
 
-	// 1. Generate the target column chunk by chunk. StreamDataset holds one
-	// chunk buffer and O(1) recurrence state instead of materialising every
-	// frame column the way LoadDataset does.
+	// 1. Read the target column chunk by chunk. StreamDataset loads the
+	// dataset once and serves its target as chunk views, standing in for a
+	// sensor feed that delivers one chunk at a time.
 	src, err := lossyts.StreamDataset(dataset, scale, seed, chunk)
 	if err != nil {
 		log.Fatal(err)

@@ -210,35 +210,6 @@ func BindServe(fs *flag.FlagSet) *Serve {
 	return s
 }
 
-// LoadBench carries the load-generator options (cmd/loadbench) after flag
-// parsing.
-type LoadBench struct {
-	// URL is the base URL of the tsserve instance under test.
-	URL string
-	// Out is the JSON report path.
-	Out string
-	// Concurrency is the number of closed-loop workers.
-	Concurrency int
-	// Keys is the number of distinct request bodies (cold-phase size).
-	Keys int
-	// Warm is the number of warm-phase requests (served from cache).
-	Warm int
-	// Quick shrinks everything to a CI smoke run.
-	Quick bool
-}
-
-// BindLoadBench registers the load-generator flag group.
-func BindLoadBench(fs *flag.FlagSet) *LoadBench {
-	l := &LoadBench{}
-	fs.StringVar(&l.URL, "url", "http://localhost:8750", "base URL of the tsserve under test")
-	fs.StringVar(&l.Out, "out", "BENCH_serve.json", "output JSON path")
-	fs.IntVar(&l.Concurrency, "concurrency", 8, "closed-loop worker count")
-	fs.IntVar(&l.Keys, "keys", 16, "distinct request bodies (cold-phase size)")
-	fs.IntVar(&l.Warm, "warm", 256, "warm-phase request count")
-	fs.BoolVar(&l.Quick, "quick", false, "smoke mode: few keys, short warm phase")
-	return l
-}
-
 // Monitor carries the online-session options (cmd/tsmonitor) after flag
 // parsing.
 type Monitor struct {

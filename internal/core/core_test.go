@@ -268,6 +268,42 @@ func TestFigure7Retrain(t *testing.T) {
 	}
 }
 
+// TestFeatureRowsTFEOrder pins the order of FeatureRows' TFE average to the
+// option set's model order. The TFE values are chosen so their float sum
+// depends on the order, and Go randomises every range over a map, so an
+// average taken in map order gives different bits on repeated calls.
+func TestFeatureRowsTFEOrder(t *testing.T) {
+	values := make([]float64, 480)
+	for i := range values {
+		values[i] = math.Sin(2*math.Pi*float64(i)/24) + 0.01*float64(i%7)
+	}
+	g := &GridResult{
+		Opts: Options{Datasets: []string{"Toy"}, Models: []string{"A", "B", "C", "D", "Absent", "NaN", "Inf"}},
+		Datasets: map[string]*DatasetResult{"Toy": {
+			Name:           "Toy",
+			SeasonalPeriod: 24,
+			RawTest:        values,
+			Cells: []*Cell{{
+				Method:       compress.MethodPMC,
+				Epsilon:      0.1,
+				Decompressed: values,
+				TFE:          map[string]float64{"A": 1e16, "B": 1, "C": -1e16, "D": 3, "NaN": math.NaN(), "Inf": math.Inf(1)},
+			}},
+		}},
+	}
+	// In model order: ((1e16 + 1) - 1e16) + 3 = 3 over four finite values.
+	const want = 0.75
+	for i := 0; i < 200; i++ {
+		rows, err := g.FeatureRows()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 1 || math.Float64bits(rows[0].TFE) != math.Float64bits(want) {
+			t.Fatalf("call %d: row TFE %v, want %v in model order", i, rows[0].TFE, want)
+		}
+	}
+}
+
 func TestFeatureRowsAndAnalyses(t *testing.T) {
 	g := quickGrid(t)
 	rows, err := g.FeatureRows()

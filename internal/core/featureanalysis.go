@@ -54,8 +54,11 @@ type FeatureRow struct {
 	TFE     float64
 }
 
-// FeatureRows extracts one row per grid cell across all datasets.
+// FeatureRows extracts one row per grid cell across all datasets. A row's
+// TFE is the mean of the cell's finite TFEs, summed in the option set's
+// model order so the row's bits do not depend on map iteration.
 func (g *GridResult) FeatureRows() ([]FeatureRow, error) {
+	models := g.Opts.models()
 	var rows []FeatureRow
 	for _, name := range g.Opts.datasets() {
 		ds := g.Datasets[name]
@@ -70,8 +73,8 @@ func (g *GridResult) FeatureRows() ([]FeatureRow, error) {
 			}
 			var tfe float64
 			var n int
-			for _, v := range cell.TFE {
-				if !math.IsNaN(v) && !math.IsInf(v, 0) {
+			for _, model := range models {
+				if v, ok := cell.TFE[model]; ok && !math.IsNaN(v) && !math.IsInf(v, 0) {
 					tfe += v
 					n++
 				}

@@ -22,10 +22,6 @@ import (
 // incrementally as checkpoints (Options.Store). Both speak the same
 // format, so a checkpoint store from a finished run and a SaveGrid file
 // are interchangeable inputs to LoadGrid.
-//
-// Legacy (v1) saved grids — one monolithic gzip-compressed JSON document —
-// are still read by LoadGrid, which sniffs the format from the file
-// header, so pre-store grid files keep loading without a migration step.
 
 // encodeFloats encodes a float slice with the repo's own lossless Gorilla
 // codec — persisted reconstructions cost bits proportional to their
@@ -434,14 +430,18 @@ func SaveGrid(g *GridResult, path string) error {
 }
 
 // LoadGrid reads a saved grid — a cell store written by SaveGrid or a
-// finished checkpoint store, or a legacy v1 monolithic gzip-JSON file —
-// and registers it in the in-process memoisation cache, so subsequent
-// RunGrid calls with the same options return it directly.
+// finished checkpoint store — and registers it in the in-process
+// memoisation cache, so subsequent RunGrid calls with the same options
+// return it directly. Any other file, such as a grid saved in the removed
+// legacy v1 format (one gzip-compressed JSON document), is refused.
 func LoadGrid(path string) (*GridResult, error) {
-	if cellstore.IsStore(path) {
-		return loadGridStore(path)
+	if !cellstore.IsStore(path) {
+		if _, err := os.Stat(path); err != nil {
+			return nil, err
+		}
+		return nil, fmt.Errorf("core: %s is not a grid cell store (grids saved in the removed legacy v1 gzip-JSON format are no longer read; recompute the grid)", path)
 	}
-	return loadGridV1(path)
+	return loadGridStore(path)
 }
 
 // loadGridStore assembles a grid from a cell store. The store must hold a
@@ -566,89 +566,4 @@ func InspectStore(path string) (StoreInfo, error) {
 		si.Grids = append(si.Grids, grids[sig])
 	}
 	return si, nil
-}
-
-// ---- legacy v1 format -------------------------------------------------
-
-// gridFileV1 is the legacy on-disk representation: the whole grid as one
-// gzip-compressed JSON document. Kept read-only for migration; SaveGrid
-// has written cell stores since the results-plane refactor.
-type gridFileV1 struct {
-	Version  int
-	Opts     Options
-	Datasets map[string]*datasetFileV1
-}
-
-type datasetFileV1 struct {
-	Name           string
-	SeasonalPeriod int
-	Interval       int64
-	RawValues      []float64
-	RawTest        []float64
-	GorillaCR      float64
-	Baselines      map[string]stats.Metrics
-	Cells          []*cellFileV1
-}
-
-type cellFileV1 struct {
-	Method       compress.Method
-	Epsilon      float64
-	CR           float64
-	Segments     int
-	TE           stats.Metrics
-	Decompressed []float64
-	ModelMetrics map[string]stats.Metrics
-	TFE          map[string]float64
-}
-
-const gridFileVersionV1 = 1
-
-// loadGridV1 reads a legacy monolithic grid file.
-func loadGridV1(path string) (*GridResult, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	j, err := compress.GunzipBytes(blob)
-	if err != nil {
-		return nil, fmt.Errorf("core: %s is not a saved grid: %w", path, err)
-	}
-	var in gridFileV1
-	if err := json.Unmarshal(j, &in); err != nil {
-		return nil, fmt.Errorf("core: decoding %s: %w", path, err)
-	}
-	if in.Version != gridFileVersionV1 {
-		return nil, fmt.Errorf("core: grid file version %d, want %d", in.Version, gridFileVersionV1)
-	}
-	g := &GridResult{Opts: in.Opts, Datasets: map[string]*DatasetResult{}}
-	cells := 0
-	for name, df := range in.Datasets {
-		ds := &DatasetResult{
-			Name:           df.Name,
-			SeasonalPeriod: df.SeasonalPeriod,
-			Interval:       df.Interval,
-			RawValues:      df.RawValues,
-			RawTest:        df.RawTest,
-			GorillaCR:      df.GorillaCR,
-			Baselines:      df.Baselines,
-		}
-		for _, c := range df.Cells {
-			ds.Cells = append(ds.Cells, &Cell{
-				Method:       c.Method,
-				Epsilon:      c.Epsilon,
-				CR:           c.CR,
-				Segments:     c.Segments,
-				TE:           c.TE,
-				Decompressed: c.Decompressed,
-				ModelMetrics: c.ModelMetrics,
-				TFE:          c.TFE,
-			})
-			cells++
-		}
-		ds.buildIndex()
-		g.Datasets[name] = ds
-	}
-	g.Provenance = Provenance{Source: SourceLoaded, StorePath: path, CellsLoaded: cells}
-	registerGrid(g)
-	return g, nil
 }

@@ -3,7 +3,10 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"lossyts/internal/compress"
 )
 
 func TestSaveLoadGridRoundTrip(t *testing.T) {
@@ -71,12 +74,26 @@ func TestLoadGridErrors(t *testing.T) {
 	if _, err := LoadGrid("/nonexistent/grid.json.gz"); err == nil {
 		t.Error("missing file should error")
 	}
-	bad := filepath.Join(t.TempDir(), "bad.gz")
-	if err := os.WriteFile(bad, []byte("not gzip"), 0o644); err != nil {
+	// A legacy v1 grid (one gzip-compressed JSON document) and a file that
+	// is not gzip at all are both refused, naming the file and the format.
+	v1, err := compress.GzipBytes([]byte(`{"Version":1,"Opts":{},"Datasets":{}}`))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadGrid(bad); err == nil {
-		t.Error("invalid file should error")
+	dir := t.TempDir()
+	for name, blob := range map[string][]byte{"v1.json.gz": v1, "bad.gz": []byte("not gzip")} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadGrid(path)
+		if err == nil {
+			t.Errorf("%s: loaded a file that is not a cell store", name)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, path) || !strings.Contains(msg, "legacy v1") {
+			t.Errorf("%s: error %q does not name the file and the legacy v1 format", name, msg)
+		}
 	}
 }
 

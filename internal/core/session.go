@@ -1,12 +1,8 @@
 package core
 
 import (
-	"bytes"
-	"compress/gzip"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 
 	"lossyts/internal/anomaly"
@@ -206,9 +202,7 @@ type sessionState struct {
 }
 
 // Session drives the continuous monitoring loop. Construct with NewSession,
-// then call Run (live stream) or Replay (offline, batch-loaded source) —
-// the two are byte-identical because datasets.StreamTarget generates the
-// exact bytes of the batch loader.
+// then call Run (or its alias Replay) to tick over the dataset's chunks.
 type Session struct {
 	opts   SessionOptions
 	period int
@@ -401,17 +395,16 @@ func sessionForecastConfig(o SessionOptions) forecast.Config {
 	return cfg
 }
 
-// Run executes the session against the live chunked stream
-// (datasets.StreamTarget). With a Store, it first resumes from the latest
-// checkpoint if one exists.
+// Run executes the session over the dataset's target column in chunks of
+// the session's chunk size (datasets.StreamTarget). With a Store, it first
+// resumes from the latest checkpoint if one exists.
 func (s *Session) Run(ctx context.Context) (*SessionReport, error) {
 	ts, err := datasets.StreamTarget(s.opts.Dataset, s.opts.Scale, s.opts.Seed, s.opts.ChunkSize)
 	if err != nil {
 		return nil, err
 	}
 	s.start, s.interv = ts.Start(), ts.Interval()
-	next := func() (timeseries.Chunk, bool) { return ts.Next() }
-	rep, err := s.loop(ctx, next)
+	rep, err := s.loop(ctx, ts.Next)
 	if err != nil {
 		return nil, err
 	}
@@ -421,19 +414,9 @@ func (s *Session) Run(ctx context.Context) (*SessionReport, error) {
 	return rep, nil
 }
 
-// Replay executes the session offline: the dataset is batch-loaded and
-// re-chunked at the session's chunk size. Byte-identical to Run.
-func (s *Session) Replay(ctx context.Context) (*SessionReport, error) {
-	ds, err := datasets.Load(s.opts.Dataset, s.opts.Scale, s.opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	target := ds.Target()
-	s.start, s.interv = target.Start, target.Interval
-	src := target.Chunks(s.opts.ChunkSize)
-	next := func() (timeseries.Chunk, bool) { return src.Next() }
-	return s.loop(ctx, next)
-}
+// Replay is Run: the offline replay and the live stream read the same
+// source.
+func (s *Session) Replay(ctx context.Context) (*SessionReport, error) { return s.Run(ctx) }
 
 // loop is the session core: tick over chunks, checkpoint, report.
 func (s *Session) loop(ctx context.Context, next func() (timeseries.Chunk, bool)) (*SessionReport, error) {
@@ -851,19 +834,11 @@ func (s *Session) checkpoint(store *cellstore.Store) error {
 		ms := sn.StateSnapshot()
 		st.Model = &ms
 	}
-	raw, err := json.Marshal(st)
+	payload, err := marshalRecord(st)
 	if err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	if _, err := zw.Write(raw); err != nil {
-		return err
-	}
-	if err := zw.Close(); err != nil {
-		return err
-	}
-	return store.Put(s.opts.stateRecordKey(), buf.Bytes())
+	return store.Put(s.opts.stateRecordKey(), payload)
 }
 
 // restore loads the latest checkpoint, if any, and rebuilds all live state.
@@ -872,19 +847,9 @@ func (s *Session) restore(store *cellstore.Store) error {
 	if !ok {
 		return nil
 	}
-	zr, err := gzip.NewReader(bytes.NewReader(payload))
-	if err != nil {
-		return fmt.Errorf("core: session checkpoint: %w", err)
-	}
-	raw, err := io.ReadAll(zr)
-	if err != nil {
-		return fmt.Errorf("core: session checkpoint: %w", err)
-	}
-	if err := zr.Close(); err != nil {
-		return err
-	}
 	var st sessionState
-	if err := json.Unmarshal(raw, &st); err != nil {
+	err := unmarshalRecord(payload, &st)
+	if err != nil {
 		return fmt.Errorf("core: session checkpoint: %w", err)
 	}
 	if s.drift, err = features.DriftMonitorFromState(st.Drift); err != nil {

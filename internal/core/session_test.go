@@ -44,9 +44,9 @@ func reportBytes(t *testing.T, rep *SessionReport) []byte {
 	return raw
 }
 
-// TestSessionStreamReplayIdentical is the determinism gate: the streamed
-// session and its offline batch replay must produce byte-identical
-// reports.
+// TestSessionStreamReplayIdentical is the determinism gate: two fresh
+// sessions with the same options, one driven by Run and one by Replay, must
+// produce byte-identical reports.
 func TestSessionStreamReplayIdentical(t *testing.T) {
 	opts := monitorTestOpts()
 	a, err := NewSession(opts)

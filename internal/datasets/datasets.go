@@ -67,10 +67,6 @@ type Registration struct {
 	// Gen produces the frame columns; the first column is the forecasting
 	// target. rng is seeded deterministically from (name, seed).
 	Gen func(rng *rand.Rand, n int, sp Spec) []*timeseries.Series
-	// Stream optionally describes how to produce the target column chunk by
-	// chunk with bounded memory (see StreamTarget). When nil, StreamTarget
-	// falls back to batch generation behind the same interface.
-	Stream *StreamSpec
 }
 
 // UnknownDatasetError is returned when a dataset name has no registration.
@@ -128,30 +124,24 @@ func init() {
 			Spec: Spec{Length: 69680, Interval: 900, Period: 96, Mean: 13.32, Min: -4, Max: 46, Q1: 7, Q3: 18},
 			Gen: func(rng *rand.Rand, n int, sp Spec) []*timeseries.Series {
 				return genETT(rng, n, sp, 6, 0.12, 0.99)
-			},
-			Stream: &StreamSpec{Target: "OT", Step: genETTStep(6, 0.12, 0.99), Match: "affine", Denom: 128, LSB: 2}},
+			}},
 		{Name: "ETTm2",
 			Spec: Spec{Length: 69680, Interval: 900, Period: 96, Mean: 26.60, Min: -3, Max: 58, Q1: 16, Q3: 36},
 			Gen: func(rng *rand.Rand, n int, sp Spec) []*timeseries.Series {
 				return genETT(rng, n, sp, 12, 0.08, 0.995)
-			},
-			Stream: &StreamSpec{Target: "OT", Step: genETTStep(12, 0.08, 0.995), Match: "affine", Denom: 128, LSB: 2}},
+			}},
 		{Name: "Solar",
-			Spec:   Spec{Length: 52560, Interval: 600, Period: 144, Mean: 6.35, Min: 0, Max: 34, Q1: 0, Q3: 12},
-			Gen:    genSolar,
-			Stream: &StreamSpec{Target: "PV0", Step: genSolarStep, Match: "scale", Denom: 128, LSB: 2, Nonzero: true}},
+			Spec: Spec{Length: 52560, Interval: 600, Period: 144, Mean: 6.35, Min: 0, Max: 34, Q1: 0, Q3: 12},
+			Gen:  genSolar},
 		{Name: "Weather",
-			Spec:   Spec{Length: 52704, Interval: 600, Period: 144, Mean: 427.66, Min: 305, Max: 524, Q1: 415, Q3: 437},
-			Gen:    genWeather,
-			Stream: &StreamSpec{Target: "CO2", Step: genWeatherStep, Match: "affine", Denom: 64, LSB: 2}},
+			Spec: Spec{Length: 52704, Interval: 600, Period: 144, Mean: 427.66, Min: 305, Max: 524, Q1: 415, Q3: 437},
+			Gen:  genWeather},
 		{Name: "ElecDem",
-			Spec:   Spec{Length: 230736, Interval: 1800, Period: 48, Mean: 6740, Min: 3498, Max: 12865, Q1: 5751, Q3: 7658},
-			Gen:    genElecDem,
-			Stream: &StreamSpec{Target: "DEMAND", Step: genElecDemStep, Match: "affine", Denom: 1, LSB: 3}},
+			Spec: Spec{Length: 230736, Interval: 1800, Period: 48, Mean: 6740, Min: 3498, Max: 12865, Q1: 5751, Q3: 7658},
+			Gen:  genElecDem},
 		{Name: "Wind",
-			Spec:   Spec{Length: 432000, Interval: 2, Period: 720, Mean: 363.69, Min: -68, Max: 2030, Q1: 108, Q3: 550},
-			Gen:    genWind,
-			Stream: &StreamSpec{Target: "POWER", Step: genWindStep, Match: "affine", Denom: 8, LSB: 2}},
+			Spec: Spec{Length: 432000, Interval: 2, Period: 720, Mean: 363.69, Min: -68, Max: 2030, Q1: 108, Q3: 550},
+			Gen:  genWind},
 	} {
 		Register(r)
 	}

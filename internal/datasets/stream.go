@@ -1,449 +1,50 @@
 package datasets
 
-import (
-	"fmt"
-	"math"
-	"math/rand"
-	"sort"
-	"sync"
+import "lossyts/internal/timeseries"
 
-	"lossyts/internal/timeseries"
-)
-
-// StreamSpec describes how a registration's target column is generated
-// chunk by chunk instead of as one up-front allocation. A registration that
-// provides one can be streamed with StreamTarget, which reproduces the
-// batch Load target bit for bit while holding O(chunk) state; without one,
-// StreamTarget falls back to batch generation behind the same interface.
-type StreamSpec struct {
-	// Target is the name of the target column (Gen's first column).
-	Target string
-	// Step returns a closure producing the raw (pre-rescaling,
-	// pre-quantisation) target value of each successive step. It must
-	// consume rng draws exactly as Gen's generation loop does — including
-	// the draws that feed secondary columns — so the streamed sequence
-	// matches the batch one draw for draw.
-	Step func(rng *rand.Rand, n int, sp Spec) func() float64
-	// Match selects the rescaling Gen applies to the raw target:
-	// "affine" (affineMatch) or "scale" (scaleMatch).
-	Match string
-	// Denom and LSB mirror the quantize call Gen applies to the target;
-	// Nonzero selects quantizeNonzero (Solar's exact zeros).
-	Denom, LSB float64
-	Nonzero    bool
-}
-
-// countingSource wraps a rand.Source and counts Int63 draws. It deliberately
-// does NOT implement rand.Source64: every rand.Rand method the generators
-// use (NormFloat64, Intn, Float64) routes through Int63, so the count is the
-// exact cursor position in the underlying sequence — which lets a second
-// rand.Rand be fast-forwarded to the position where the batch generator
-// starts drawing quantisation noise.
-type countingSource struct {
-	src   rand.Source
-	count int64
-}
-
-func (c *countingSource) Int63() int64 {
-	c.count++
-	return c.src.Int63()
-}
-
-func (c *countingSource) Seed(seed int64) { c.src.Seed(seed) }
-
-// matchKind is the rescaling applied between generation and quantisation.
-type matchKind int
-
-const (
-	matchNone   matchKind = iota // scaleMatch with q3 <= 0: no rescale, no clip
-	matchAffine                  // y = (x-m)*s + Mean, clipped to [Min, Max]
-	matchScale                   // y = x*s, clipped to [Min, Max]
-)
-
-// calibration holds the whole-series statistics the batch post-processing
-// derives: the rescaling coefficients, the quantisation clip bounds (min/max
-// of the rescaled, pre-noise values), and the generator's rng draw count.
-// Computing it costs one O(n) pass (cached per name/n/seed); the streaming
-// passes it enables are O(chunk).
-type calibration struct {
-	kind     matchKind
-	m, s     float64
-	qlo, qhi float64
-	genDraws int64
-}
-
-// rescale applies the calibrated match to one raw value, replicating the
-// exact floating-point expressions of affineMatch / scaleMatch.
-func (c *calibration) rescale(x float64, sp Spec) float64 {
-	switch c.kind {
-	case matchAffine:
-		y := (x-c.m)*c.s + sp.Mean
-		if y < sp.Min {
-			y = sp.Min
-		}
-		if y > sp.Max {
-			y = sp.Max
-		}
-		return y
-	case matchScale:
-		y := x * c.s
-		if y < sp.Min {
-			y = sp.Min
-		}
-		if y > sp.Max {
-			y = sp.Max
-		}
-		return y
-	default:
-		return x
-	}
-}
-
-type calKey struct {
-	name string
-	n    int
-	seed int64
-}
-
-var calCache sync.Map // calKey -> *calibration
-
-// calibrate runs the stepper once over a counting rng to recover the
-// whole-series statistics the batch path computes in place.
-func calibrate(r Registration, n int, seed int64) (*calibration, error) {
-	key := calKey{name: r.Name, n: n, seed: seed}
-	if cached, ok := calCache.Load(key); ok {
-		return cached.(*calibration), nil
-	}
-	cs := &countingSource{src: rand.NewSource(seed*31 + int64(len(r.Name)))}
-	rng := rand.New(cs)
-	step := r.Stream.Step(rng, n, r.Spec)
-	raw := make([]float64, n)
-	for i := range raw {
-		raw[i] = step()
-	}
-	cal := &calibration{genDraws: cs.count}
-	sp := r.Spec
-	switch r.Stream.Match {
-	case "affine":
-		sorted := append([]float64(nil), raw...)
-		sort.Float64s(sorted)
-		q1 := quantile(sorted, 0.25)
-		q3 := quantile(sorted, 0.75)
-		var m float64
-		for _, x := range raw {
-			m += x
-		}
-		m /= float64(len(raw))
-		iqr := q3 - q1
-		if iqr == 0 {
-			iqr = 1
-		}
-		cal.kind, cal.m, cal.s = matchAffine, m, (sp.Q3-sp.Q1)/iqr
-	case "scale":
-		sorted := append([]float64(nil), raw...)
-		sort.Float64s(sorted)
-		q3 := quantile(sorted, 0.75)
-		if q3 > 0 {
-			cal.kind, cal.s = matchScale, sp.Q3/q3
-		} else {
-			cal.kind = matchNone
-		}
-	default:
-		return nil, fmt.Errorf("datasets: %s has unknown stream match %q", r.Name, r.Stream.Match)
-	}
-	// The quantisation clip bounds are the min/max of the rescaled,
-	// pre-noise values — apply the calibrated rescale to the raw pass.
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, x := range raw {
-		y := cal.rescale(x, sp)
-		if y < lo {
-			lo = y
-		}
-		if y > hi {
-			hi = y
-		}
-	}
-	cal.qlo, cal.qhi = lo, hi
-	actual, _ := calCache.LoadOrStore(key, cal)
-	return actual.(*calibration), nil
-}
-
-// TargetStream streams a dataset's target column as chunks, implementing
-// timeseries.Source. For registrations with a StreamSpec the values are
-// generated on demand — the steady-state footprint is one chunk buffer plus
-// the generator's O(1) recurrence state — and are bit-identical to
-// Load(name, scale, seed).Target().Values. Registrations without a
-// StreamSpec are served from a batch Load behind the same interface.
+// TargetStream serves a dataset's target column as chunks, implementing
+// timeseries.Source. It is a chunked view of Load(name, scale, seed).Target():
+// the chunks concatenate to exactly the batch target series, and their
+// Values alias it, as the Source contract allows.
 type TargetStream struct {
-	name     string
-	sp       Spec
-	n        int
-	pos      int
-	buf      []float64
-	fallback timeseries.Source // non-nil when serving from a batch Load
-
-	spec     *StreamSpec
-	cal      *calibration
-	step     func() float64
-	quantRng *rand.Rand
+	name   string
+	period int
+	target *timeseries.Series
+	src    timeseries.Source
 }
 
-// StreamTarget returns a bounded-memory source over the named dataset's
-// target column. scale and seed have Load's semantics; non-positive
-// chunkSize falls back to timeseries.DefaultChunkSize. The streamed chunks
-// concatenate to exactly the batch target series.
+// StreamTarget returns a source over the named dataset's target column.
+// name, scale and seed have Load's semantics and errors; non-positive
+// chunkSize falls back to timeseries.DefaultChunkSize.
 func StreamTarget(name string, scale float64, seed int64, chunkSize int) (*TargetStream, error) {
-	registryMu.RLock()
-	r, ok := registry[name]
-	registryMu.RUnlock()
-	if !ok {
-		return nil, &UnknownDatasetError{Name: name}
-	}
-	if scale <= 0 || scale > 1 {
-		return nil, fmt.Errorf("datasets: scale %v outside (0, 1]", scale)
-	}
-	if chunkSize <= 0 {
-		chunkSize = timeseries.DefaultChunkSize
-	}
-	sp := r.Spec
-	n := int(float64(sp.Length) * scale)
-	if min := 6 * sp.Period; n < min {
-		n = min
-	}
-	ts := &TargetStream{name: name, sp: sp, n: n, buf: make([]float64, chunkSize)}
-	if r.Stream == nil {
-		ds, err := Load(name, scale, seed)
-		if err != nil {
-			return nil, err
-		}
-		ts.fallback = ds.Target().Chunks(chunkSize)
-		return ts, nil
-	}
-	cal, err := calibrate(r, n, seed)
+	ds, err := Load(name, scale, seed)
 	if err != nil {
 		return nil, err
 	}
-	src := seed*31 + int64(len(name))
-	genRng := rand.New(rand.NewSource(src))
-	// The batch generator quantises the target immediately after the
-	// generation loop, so the noise draws start genDraws into the sequence:
-	// fast-forward a second rng to that cursor.
-	quantSrc := rand.NewSource(src)
-	for i := int64(0); i < cal.genDraws; i++ {
-		quantSrc.Int63()
-	}
-	ts.spec = r.Stream
-	ts.cal = cal
-	ts.step = r.Stream.Step(genRng, n, sp)
-	ts.quantRng = rand.New(quantSrc)
-	return ts, nil
+	target := ds.Target()
+	return &TargetStream{name: name, period: ds.SeasonalPeriod, target: target, src: target.Chunks(chunkSize)}, nil
 }
 
 // Name returns the dataset name.
 func (ts *TargetStream) Name() string { return ts.name }
 
 // TargetName returns the target column's name (Load's first column).
-func (ts *TargetStream) TargetName() string {
-	if ts.spec != nil {
-		return ts.spec.Target
-	}
-	return ts.name
-}
+func (ts *TargetStream) TargetName() string { return ts.target.Name }
 
 // Len returns the total number of points the stream will produce.
-func (ts *TargetStream) Len() int { return ts.n }
+func (ts *TargetStream) Len() int { return ts.target.Len() }
 
 // Start returns the first timestamp (Load's fixed epoch).
-func (ts *TargetStream) Start() int64 { return baseStart }
+func (ts *TargetStream) Start() int64 { return ts.target.Start }
 
 // Interval returns the sampling interval in seconds.
-func (ts *TargetStream) Interval() int64 { return ts.sp.Interval }
+func (ts *TargetStream) Interval() int64 { return ts.target.Interval }
 
 // Period returns the dominant seasonal period in steps.
-func (ts *TargetStream) Period() int { return ts.sp.Period }
+func (ts *TargetStream) Period() int { return ts.period }
 
-// Next produces the next chunk. The chunk's Values alias an internal buffer
-// reused on the following call, per the Source contract.
-func (ts *TargetStream) Next() (timeseries.Chunk, bool) {
-	if ts.fallback != nil {
-		return ts.fallback.Next()
-	}
-	if ts.pos >= ts.n {
-		return timeseries.Chunk{}, false
-	}
-	want := len(ts.buf)
-	if left := ts.n - ts.pos; left < want {
-		want = left
-	}
-	for i := 0; i < want; i++ {
-		ts.buf[i] = ts.quantized(ts.cal.rescale(ts.step(), ts.sp))
-	}
-	c := timeseries.Chunk{
-		Start:    baseStart + int64(ts.pos)*ts.sp.Interval,
-		Interval: ts.sp.Interval,
-		Values:   ts.buf[:want],
-	}
-	ts.pos += want
-	return c, true
-}
+// Next returns the next chunk, a view into the loaded target series.
+func (ts *TargetStream) Next() (timeseries.Chunk, bool) { return ts.src.Next() }
 
-// quantized replicates the exact quantize / quantizeNonzero arithmetic for
-// one value, drawing noise from the fast-forwarded rng.
-func (ts *TargetStream) quantized(v float64) float64 {
-	denom, lsb := ts.spec.Denom, ts.spec.LSB
-	if ts.spec.Nonzero {
-		if v == 0 {
-			return 0
-		}
-		x := v + lsb/denom*ts.quantRng.NormFloat64()
-		y := math.Round(x*denom) / denom
-		if y <= 0 {
-			y = 1 / denom
-		}
-		if y > ts.cal.qhi {
-			y = ts.cal.qhi
-		}
-		return y
-	}
-	x := v + lsb/denom*ts.quantRng.NormFloat64()
-	y := math.Round(x*denom) / denom
-	if y < ts.cal.qlo {
-		y = ts.cal.qlo
-	}
-	if y > ts.cal.qhi {
-		y = ts.cal.qhi
-	}
-	return y
-}
-
-// Err reports a stream failure; generation itself cannot fail, so this only
-// reflects a fallback source's error.
-func (ts *TargetStream) Err() error {
-	if ts.fallback != nil {
-		return ts.fallback.Err()
-	}
-	return nil
-}
-
-// The per-dataset steppers below mirror their Gen loop bodies line for line,
-// consuming rng draws in the identical order (secondary-column draws
-// included, computed and discarded) so the underlying random sequence stays
-// aligned with the batch generator.
-
-func genETTStep(amp, sigma, ar float64) func(rng *rand.Rand, n int, sp Spec) func() float64 {
-	return func(rng *rand.Rand, n int, sp Spec) func() float64 {
-		day := float64(sp.Period)
-		week := day * 7
-		noise := 0.0
-		level := 0.0
-		i := 0
-		return func() float64 {
-			noise = ar*noise + sigma*rng.NormFloat64()
-			level += 0.004 * rng.NormFloat64()
-			level *= 0.9995
-			daily := amp * math.Sin(2*math.Pi*float64(i)/day)
-			weekly := 0.3 * amp * math.Sin(2*math.Pi*float64(i)/week)
-			target := daily + weekly + noise + level*40
-			_ = 0.8*daily + 2*rng.NormFloat64() // LOAD column draw
-			i++
-			return target
-		}
-	}
-}
-
-func genSolarStep(rng *rand.Rand, n int, sp Spec) func() float64 {
-	day := float64(sp.Period)
-	cloud := 0.7
-	flicker := 0.0
-	i := 0
-	return func() float64 {
-		phase := math.Mod(float64(i), day) / day
-		cloud += 0.02 * rng.NormFloat64()
-		if cloud < 0.05 {
-			cloud = 0.05
-		}
-		if cloud > 1 {
-			cloud = 1
-		}
-		flicker = 0.97*flicker + 0.01*rng.NormFloat64()
-		var bell float64
-		if phase > 0.25 && phase < 0.75 {
-			bell = math.Sin(math.Pi * (phase - 0.25) / 0.5)
-			bell *= bell
-		}
-		v := 30 * bell * cloud * (1 + flicker)
-		if v < 0.2 {
-			v = 0
-		}
-		// The PV1 column reuses the same draws; nothing extra to consume.
-		i++
-		return v
-	}
-}
-
-func genWeatherStep(rng *rand.Rand, n int, sp Spec) func() float64 {
-	day := float64(sp.Period)
-	drift := 0.0
-	noise := 0.0
-	i := 0
-	return func() float64 {
-		drift += 0.02 * rng.NormFloat64()
-		drift *= 0.9998
-		noise = 0.97*noise + 0.7*rng.NormFloat64()
-		target := 8*math.Sin(2*math.Pi*float64(i)/day) + drift*30 + noise
-		_ = rng.NormFloat64() // T column draw
-		i++
-		return target
-	}
-}
-
-func genElecDemStep(rng *rand.Rand, n int, sp Spec) func() float64 {
-	day := float64(sp.Period)
-	year := day * 365
-	noise := 0.0
-	i := 0
-	return func() float64 {
-		phase := math.Mod(float64(i), day) / day
-		daily := 0.9*gauss(phase, 0.35, 0.09) + 1.1*gauss(phase, 0.75, 0.08)
-		dow := int(float64(i)/day) % 7
-		weekly := 1.0
-		if dow >= 5 {
-			weekly = 0.85
-		}
-		annual := 1 + 0.12*math.Sin(2*math.Pi*float64(i)/year)
-		noise = 0.97*noise + 0.01*rng.NormFloat64()
-		target := (0.55 + daily) * weekly * annual * (1 + noise)
-		i++
-		return target
-	}
-}
-
-func genWindStep(rng *rand.Rand, n int, sp Spec) func() float64 {
-	ws := 7.0
-	gust := 0.0
-	idle := -10.0
-	rated := 2030.0
-	i := 0
-	return func() float64 {
-		ws += 0.002*(7.5-ws) + 0.01*rng.NormFloat64()
-		gust = 0.995*gust + 0.05*rng.NormFloat64()
-		s := ws + gust + 1.2*math.Sin(2*math.Pi*float64(i)/float64(sp.Period))
-		if s < 0 {
-			s = 0
-		}
-		var p float64
-		switch {
-		case s < 3:
-			idle += 0.9*(-10-idle) + 0.5*rng.NormFloat64()
-			p = idle
-		case s < 12:
-			p = rated * math.Pow((s-3)/9, 3)
-		default:
-			rated += 0.5 * (2030*0.99 - rated)
-			p = rated
-		}
-		_ = math.Min(16, s*1.3) + 0.2*rng.NormFloat64() // ROTOR column draw
-		i++
-		return p
-	}
-}
+// Err reports a stream failure; a view over a loaded series has none.
+func (ts *TargetStream) Err() error { return ts.src.Err() }
