@@ -1,7 +1,11 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -251,6 +255,12 @@ func TestAllFigures(t *testing.T) {
 	}
 }
 
+// figure7GoldenAMD64 is the SHA-256 of the NRMSE and TFE bits of
+// TestFigure7Retrain's results (little-endian IEEE-754, result order), as
+// computed on linux/amd64. Float arithmetic may differ on other
+// architectures, so the comparison runs on amd64 only.
+const figure7GoldenAMD64 = "e7cea12c6a974faebfb01b801ad1dc9f21ffa981b63344bc7b9a826c0bfbf9ad"
+
 func TestFigure7Retrain(t *testing.T) {
 	opts := QuickOptions()
 	res, err := RetrainOnDecompressed(opts, []string{"ETTm1"}, []string{"Arima"}, []float64{0.05, 0.2})
@@ -264,6 +274,19 @@ func TestFigure7Retrain(t *testing.T) {
 	for _, r := range res {
 		if r.NRMSE <= 0 || math.IsNaN(r.TFE) {
 			t.Errorf("bad retrain result %+v", r)
+		}
+	}
+	if runtime.GOARCH == "amd64" {
+		h := sha256.New()
+		var buf [8]byte
+		for _, r := range res {
+			for _, v := range []float64{r.NRMSE, r.TFE} {
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+				h.Write(buf[:])
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != figure7GoldenAMD64 {
+			t.Fatalf("Figure 7 retrain bits drifted from the committed golden:\n got  %s\n want %s", got, figure7GoldenAMD64)
 		}
 	}
 }

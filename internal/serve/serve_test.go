@@ -3,6 +3,8 @@ package serve
 import (
 	"bufio"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -187,9 +190,15 @@ func TestCompressDecompressRoundTrip(t *testing.T) {
 	}
 }
 
+// forecastGoldenAMD64 is the SHA-256 of TestForecastEndpoint's response
+// body, as computed on linux/amd64. Float arithmetic may differ on other
+// architectures, so the comparison runs on amd64 only.
+const forecastGoldenAMD64 = "95cd7bf51797afc10db0d0797932a0b6cf161eef2249bc3ca86d2f9546cf6119"
+
 // TestForecastEndpoint runs one full grid cell over HTTP and checks the
 // response carries the paper's quantities: baseline metrics, compression
-// ratio, type error, transformed metrics, and TFE.
+// ratio, type error, transformed metrics, and TFE. On amd64 the body must
+// also hash to the committed golden, so the numbers cannot drift.
 func TestForecastEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	resp, out := post(t, ts,
@@ -216,6 +225,12 @@ func TestForecastEndpoint(t *testing.T) {
 	}
 	if !(fr.TE.NRMSE >= 0) || !(fr.Transformed.NRMSE > 0) {
 		t.Fatalf("degenerate TE/transformed metrics: te=%+v tm=%+v", fr.TE, fr.Transformed)
+	}
+	if runtime.GOARCH == "amd64" {
+		sum := sha256.Sum256(out)
+		if got := hex.EncodeToString(sum[:]); got != forecastGoldenAMD64 {
+			t.Fatalf("/v1/forecast body hash drifted from the committed golden:\n got  %s\n want %s\n body %s", got, forecastGoldenAMD64, out)
+		}
 	}
 
 	// The same request again must be answered from the durable cache,
