@@ -1,30 +1,32 @@
 // Command tsforecast trains one of the paper's forecasting models on a
-// synthetic dataset (optionally lossy-compressed first) and reports the
-// evaluation metrics, demonstrating Algorithm 1 end to end:
+// synthetic dataset and reports the evaluation metrics of Algorithm 1: on
+// raw test inputs, or with -method on test inputs lossy-compressed first,
+// with the TFE against the raw baseline:
 //
 //	tsforecast -dataset ETTm1 -model DLinear
 //	tsforecast -dataset ETTm1 -model Arima -method PMC -eps 0.1
 //
-// With -store the run goes through the evaluation harness backed by a
-// cell-addressed result store: the first invocation trains and checkpoints
-// the cell, repeating it (or running a grid that contains it) reuses the
+// The numbers are those of the evaluation grid for the default options: a
+// -method run is a one-cell grid. -store only adds persistence: the first
+// invocation trains and checkpoints the cell in a cell-addressed result
+// store, and repeating it (or running a grid that contains it) reuses the
 // stored result:
 //
 //	tsforecast -dataset ETTm1 -model Arima -method PMC -eps 0.1 -store results.cells
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"lossyts/internal/cli"
 	"lossyts/internal/compress"
 	"lossyts/internal/core"
 	"lossyts/internal/datasets"
-	"lossyts/internal/forecast"
 	"lossyts/internal/stats"
-	"lossyts/internal/timeseries"
 )
 
 func main() {
@@ -46,15 +48,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tsforecast:", err)
 		os.Exit(1)
 	}
-	var runErr error
-	if common.Store != "" {
-		// With a result store the run goes through the evaluation harness
-		// as a one-cell grid, so the cell is checkpointed and a repeat of
-		// the same invocation costs one store read instead of a training.
-		runErr = runStored(*dataset, *model, *method, *eps, *scale, *seed, common)
-	} else {
-		runErr = run(*dataset, *model, *method, *eps, *scale, *seed)
-	}
+	opts := core.DefaultOptions()
+	opts.Scale = *scale
+	opts.Seed = *seed
+	opts.Parallelism = common.Parallelism
+	opts.Store = common.Store
+	runErr := run(os.Stdout, opts, *dataset, *model, *method, *eps)
 	// Profiles are flushed before any exit path: os.Exit skips defers.
 	if err := stopProfiles(); err != nil {
 		fmt.Fprintln(os.Stderr, "tsforecast:", err)
@@ -65,116 +64,71 @@ func main() {
 	}
 }
 
-// runStored evaluates the (dataset, model, method, eps) combination as a
-// one-cell grid through the harness, backed by the result store: the first
-// invocation trains and checkpoints, a repeat reads the stored cell back.
-func runStored(dataset, modelName, method string, eps, scale float64, seed int64, common *cli.Common) error {
+// run evaluates modelName on dataset under opts and prints the metrics to
+// w. With a method the evaluation is the (method, eps) cell of a one-cell
+// grid, checkpointed in opts.Store when it is set. Without one it is the
+// raw-data baseline, which is the grid's baseline for the same options.
+func run(w io.Writer, opts core.Options, dataset, modelName, method string, eps float64) error {
 	if method == "" {
-		return fmt.Errorf("-store needs -method (the store addresses cells by compression method and error bound)")
+		if opts.Store != "" {
+			return fmt.Errorf("-store needs -method (the store addresses cells by compression method and error bound)")
+		}
+		return runBaseline(w, opts, dataset, modelName)
 	}
-	opts := core.DefaultOptions()
-	opts.Scale = scale
-	opts.Seed = seed
 	opts.Datasets = []string{dataset}
 	opts.Models = []string{modelName}
 	opts.Methods = []compress.Method{compress.Method(method)}
 	opts.ErrorBounds = []float64{eps}
-	opts.Parallelism = common.Parallelism
-	opts.Store = common.Store
 	g, err := core.RunGrid(opts)
 	if err != nil {
 		return err
 	}
-	ds := g.Datasets[dataset]
-	cell := ds.Cell(compress.Method(method), eps)
+	cell := g.Datasets[dataset].Cell(compress.Method(method), eps)
 	if cell == nil {
 		return fmt.Errorf("grid has no cell for %s eps=%g", method, eps)
 	}
-	fmt.Printf("test input compressed with %s eps=%g: CR %.2fx, %d segments\n",
+	fmt.Fprintf(w, "test input compressed with %s eps=%g: CR %.2fx, %d segments\n",
 		method, eps, cell.CR, cell.Segments)
-	m := cell.ModelMetrics[modelName]
-	fmt.Printf("R            %.4f\n", m.R)
-	fmt.Printf("RSE          %.4f\n", m.RSE)
-	fmt.Printf("RMSE         %.4f\n", m.RMSE)
-	fmt.Printf("NRMSE        %.4f\n", m.NRMSE)
+	printMetrics(w, cell.ModelMetrics[modelName])
 	if tfe, ok := cell.TFE[modelName]; ok {
-		fmt.Printf("TFE          %.4f\n", tfe)
+		fmt.Fprintf(w, "TFE          %.4f\n", tfe)
 	}
 	fmt.Fprintln(os.Stderr, g.Provenance.String())
 	return nil
 }
 
-func run(dataset, modelName, method string, eps, scale float64, seed int64) error {
-	ds, err := datasets.Load(dataset, scale, seed)
+// runBaseline trains modelName with the grid's first seed and scores it on
+// the raw test windows.
+func runBaseline(w io.Writer, opts core.Options, dataset, modelName string) error {
+	ds, err := datasets.Load(dataset, opts.Scale, opts.Seed)
 	if err != nil {
 		return err
 	}
-	train, val, test, err := ds.Target().Split(0.7, 0.1, 0.2)
+	sc, err := core.NewScenario(ds.Target(), ds.SeasonalPeriod, opts.Forecast, opts.MaxEvalWindows)
 	if err != nil {
 		return err
 	}
-	cfg := forecast.DefaultConfig()
-	cfg.SeasonalPeriod = ds.SeasonalPeriod
-	cfg.Seed = seed
-
-	var scaler timeseries.StandardScaler
-	if err := scaler.Fit(train.Values); err != nil {
-		return err
-	}
-	model, err := forecast.New(modelName, cfg)
+	fmt.Fprintf(w, "training %s on %s (%d train points)...\n", modelName, dataset, sc.Train.Len())
+	model, err := sc.Fit(context.Background(), modelName, opts.Seed, nil, nil)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("training %s on %s (%d train points)...\n", modelName, dataset, train.Len())
-	if err := model.Fit(scaler.Transform(train.Values), scaler.Transform(val.Values)); err != nil {
-		return err
-	}
-
-	inputValues := test.Values
-	if method != "" {
-		comp, err := compress.New(compress.Method(method))
-		if err != nil {
-			return err
-		}
-		c, err := comp.Compress(test, eps)
-		if err != nil {
-			return err
-		}
-		dec, err := c.Decompress()
-		if err != nil {
-			return err
-		}
-		cr, err := compress.Ratio(test, c)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("test input compressed with %s eps=%g: CR %.2fx, %d segments\n",
-			method, eps, cr, c.Segments)
-		inputValues = dec.Values
-	}
-	scTest := scaler.Transform(test.Values)
-	ws, err := timeseries.MakePairedWindows(scaler.Transform(inputValues), scTest,
-		cfg.InputLen, cfg.Horizon, cfg.Horizon)
+	ws, err := sc.Windows(nil)
 	if err != nil {
 		return err
 	}
-	preds, err := model.Predict(ws.Inputs())
+	m, err := sc.Score(model, ws)
 	if err != nil {
 		return err
 	}
-	var x, y []float64
-	for i, p := range preds {
-		y = append(y, p...)
-		x = append(x, ws.Windows[i].Target...)
-	}
-	m, err := stats.Evaluate(x, y)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("windows      %d (input %d, horizon %d)\n", ws.Len(), cfg.InputLen, cfg.Horizon)
-	fmt.Printf("R            %.4f\n", m.R)
-	fmt.Printf("RSE          %.4f\n", m.RSE)
-	fmt.Printf("RMSE         %.4f\n", m.RMSE)
-	fmt.Printf("NRMSE        %.4f\n", m.NRMSE)
+	fmt.Fprintf(w, "windows      %d (input %d, horizon %d)\n", ws.Len(), sc.Cfg.InputLen, sc.Cfg.Horizon)
+	printMetrics(w, m)
 	return nil
+}
+
+func printMetrics(w io.Writer, m stats.Metrics) {
+	fmt.Fprintf(w, "R            %.4f\n", m.R)
+	fmt.Fprintf(w, "RSE          %.4f\n", m.RSE)
+	fmt.Fprintf(w, "RMSE         %.4f\n", m.RMSE)
+	fmt.Fprintf(w, "NRMSE        %.4f\n", m.NRMSE)
 }

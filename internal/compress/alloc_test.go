@@ -124,6 +124,27 @@ func TestKernelDecodeZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestRawGzipSizeAllocs pins the raw-size path of every compression ratio:
+// the gzip writer comes from the pool and every CSV row reuses one buffer,
+// so a call allocates a fixed handful of objects whatever the series
+// length. A fresh gzip writer costs more than this budget on its own.
+func TestRawGzipSizeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is not meaningful under -race")
+	}
+	withGCOff(t)
+	s := allocSeries()
+	op := func() {
+		if _, err := RawGzipSize(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	op() // warm the writer pool
+	if allocs := testing.AllocsPerRun(20, op); allocs > 4 {
+		t.Fatalf("RawGzipSize: %v allocs/op, want at most 4", allocs)
+	}
+}
+
 // allocBudget mirrors testdata/alloc_budget.json: the committed per-method
 // ceiling for full-operation allocation counts (fresh encoder, gzip framing,
 // fresh decoder — everything a cache-missed request pays). The steady-state

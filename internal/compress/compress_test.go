@@ -1,10 +1,13 @@
 package compress
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"lossyts/internal/timeseries"
 )
@@ -406,6 +409,29 @@ func TestRawGzipSizeStable(t *testing.T) {
 	b, _ := RawGzipSize(s)
 	if a != b || a <= 0 {
 		t.Fatalf("raw sizes %d, %d", a, b)
+	}
+}
+
+// TestRawGzipSizeMatchesCSV checks RawGzipSize against gzipping the whole
+// CSV as fmt prints it, including the values whose %g form is special.
+func TestRawGzipSizeMatchesCSV(t *testing.T) {
+	s := synthSeries(500, 21)
+	s.Values = append(s.Values, 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		5e-324, math.MaxFloat64, -1e21, 1e20, 123456789, 0.1, -2.5e-7)
+	var csv strings.Builder
+	for i, v := range s.Values {
+		fmt.Fprintf(&csv, "%s,%g\n", time.Unix(s.TimeAt(i), 0).UTC().Format("2006-01-02 15:04:05"), v)
+	}
+	want, err := GzipBytes([]byte(csv.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := RawGzipSize(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != len(want) {
+		t.Fatalf("RawGzipSize = %d, gzipped CSV = %d bytes", got, len(want))
 	}
 }
 

@@ -2,12 +2,12 @@ package compress
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"slices"
+	"strconv"
 	"time"
 
 	"lossyts/internal/timeseries"
@@ -290,20 +290,28 @@ func Finish(m Method, epsilon float64, s *timeseries.Series, body []byte, segmen
 // RawGzipSize returns the size in bytes of the raw dataset's .gz encoding,
 // the numerator of the paper's compression ratio (Eq. 3). As in the paper,
 // the raw dataset is the exported CSV — one "timestamp,value" row per data
-// point — with gzip applied directly to it (§3.2, §3.5). Rows stream
-// through the gzip writer into a counting sink, so only the size is
-// computed and the CSV is never materialised; deflate output depends only
-// on the input bytes, not on write boundaries, so the count matches what
-// gzipping the whole buffer would produce.
+// point, the value as fmt's %g prints it — with gzip applied directly to it
+// (§3.2, §3.5). Rows stream through the gzip writer into a counting sink,
+// so only the size is computed and the CSV is never materialised; deflate
+// output depends only on the input bytes, not on write boundaries, so the
+// count matches what gzipping the whole buffer would produce. The gzip
+// writer comes from the gzip stage's pool, Reset to a state equal to a new
+// writer's, and every row reuses one buffer.
 func RawGzipSize(s *timeseries.Series) (int, error) {
 	var cw countingWriter
-	zw := gzip.NewWriter(&cw)
+	g := gzipWriterPool.Get().(*pooledGzipWriter)
+	defer gzipWriterPool.Put(g)
+	g.zw.Reset(&cw)
+	row := make([]byte, 0, 64) // a row is at most 19 + 1 + 24 + 1 bytes
 	for i, v := range s.Values {
-		if _, err := fmt.Fprintf(zw, "%s,%g\n", time.Unix(s.TimeAt(i), 0).UTC().Format("2006-01-02 15:04:05"), v); err != nil {
+		row = time.Unix(s.TimeAt(i), 0).UTC().AppendFormat(row[:0], "2006-01-02 15:04:05")
+		row = append(row, ',')
+		row = append(strconv.AppendFloat(row, v, 'g', -1, 64), '\n')
+		if _, err := g.zw.Write(row); err != nil {
 			return 0, err
 		}
 	}
-	if err := zw.Close(); err != nil {
+	if err := g.zw.Close(); err != nil {
 		return 0, err
 	}
 	return cw.n, nil

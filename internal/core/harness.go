@@ -11,9 +11,7 @@ import (
 	"lossyts/internal/compress"
 	"lossyts/internal/core/cellstore"
 	"lossyts/internal/features"
-	"lossyts/internal/forecast"
 	"lossyts/internal/stats"
-	"lossyts/internal/timeseries"
 )
 
 // Cell is one grid point: a (dataset, method, error bound) combination with
@@ -417,30 +415,6 @@ func (rc *RunContext) provenance() Provenance {
 	return p
 }
 
-// datasetPlan caches everything the (model, seed) units share within one
-// dataset: the scaled train/val series, the raw evaluation windows, and one
-// cellPlan per grid cell. Building it once per dataset removes the
-// per-model, per-seed recomputation of scaler transforms and window
-// slicing. All fields are read-only once the plan is built, so workers can
-// share them without locks (Predict implementations never mutate inputs).
-type datasetPlan struct {
-	cfg            forecast.Config
-	scTrain, scVal []float64
-	rawWindows     *timeseries.WindowSet
-	cells          []cellPlan
-	evalStride     int
-	phaseStart     int
-}
-
-// cellPlan is the cached per-cell evaluation input: the paired windows of
-// the scaled decompressed values against the scaled raw targets. It depends
-// only on the cell, never on the model or seed.
-type cellPlan struct {
-	method  compress.Method
-	epsilon float64
-	windows *timeseries.WindowSet
-}
-
 // unit is one fit-and-evaluate work item of the inner grid.
 type unit struct {
 	model string
@@ -462,10 +436,10 @@ var errUnitSkipped = errors.New("core: unit skipped after earlier failure")
 // evaluateDataset runs Algorithm 1 for one dataset across all models,
 // methods, and error bounds by driving the run's stage pipeline
 // (Ingest → Compress → Reconstruct → Window → Train → Forecast → Analyze).
-// The per-cell transforms are computed once (datasetPlan) and the
-// (model, seed) units fan out over a worker pool of opts.parallelism()
-// goroutines; per-seed metrics are merged in seed order so the result is
-// bit-identical to a sequential run.
+// Each cell's windows are built once per dataset and the (model, seed)
+// units fan out over a worker pool of opts.parallelism() goroutines;
+// per-seed metrics are merged in seed order so the result is bit-identical
+// to a sequential run.
 func evaluateDataset(rc *RunContext, name string) (*DatasetResult, error) {
 	st := &pipelineState{name: name}
 	addrs := rc.ownedAddrs(name)
@@ -501,21 +475,6 @@ func evaluateDataset(rc *RunContext, name string) (*DatasetResult, error) {
 		return nil, err
 	}
 	return st.dr, nil
-}
-
-// evaluateWindows predicts every window and scores the flattened forecasts
-// against the flattened raw targets (calculateMetrics in Algorithm 1).
-func evaluateWindows(model forecast.Model, ws *timeseries.WindowSet) (stats.Metrics, error) {
-	preds, err := model.Predict(ws.Inputs())
-	if err != nil {
-		return stats.Metrics{}, err
-	}
-	var x, y []float64
-	for i, p := range preds {
-		y = append(y, p...)
-		x = append(x, ws.Windows[i].Target...)
-	}
-	return stats.Evaluate(x, y)
 }
 
 func meanMetrics(ms []stats.Metrics) stats.Metrics {

@@ -1,11 +1,10 @@
 package core
 
 import (
-	"fmt"
+	"context"
 
 	"lossyts/internal/compress"
 	"lossyts/internal/datasets"
-	"lossyts/internal/forecast"
 	"lossyts/internal/stats"
 	"lossyts/internal/timeseries"
 )
@@ -37,46 +36,24 @@ func RetrainOnDecompressed(opts Options, names []string, models []string, bounds
 		bounds = []float64{0.01, 0.05, 0.1, 0.15, 0.2}
 	}
 	var out []RetrainResult
+	ctx := context.Background()
 	for _, name := range names {
 		ds, err := datasets.Load(name, opts.Scale, opts.Seed)
 		if err != nil {
 			return nil, err
 		}
-		target := ds.Target()
-		train, val, test, err := target.Split(0.7, 0.1, 0.2)
-		if err != nil {
-			return nil, err
-		}
-		cfg := opts.Forecast
-		if cfg.InputLen == 0 {
-			cfg = forecast.DefaultConfig()
-		}
-		cfg.SeasonalPeriod = ds.SeasonalPeriod
-		cfg.Seed = opts.Seed
-
-		var scaler timeseries.StandardScaler
-		if err := scaler.Fit(train.Values); err != nil {
-			return nil, err
-		}
-		scTest := scaler.Transform(test.Values)
-		rawWindows, err := timeseries.MakeWindows(scTest, cfg.InputLen, cfg.Horizon, cfg.Horizon)
+		// Every window is evaluated, one horizon apart.
+		sc, err := NewScenario(ds.Target(), ds.SeasonalPeriod, opts.Forecast, 0)
 		if err != nil {
 			return nil, err
 		}
 		for _, modelName := range models {
 			// Baseline: trained and evaluated on raw data.
-			baseModel, err := forecast.New(modelName, cfg)
+			baseModel, err := sc.Fit(ctx, modelName, opts.Seed, nil, nil)
 			if err != nil {
 				return nil, err
 			}
-			if err := baseModel.Fit(scaler.Transform(train.Values), scaler.Transform(val.Values)); err != nil {
-				return nil, fmt.Errorf("baseline fit %s: %w", modelName, err)
-			}
-			startPhase := (train.Len() + val.Len()) % ds.SeasonalPeriod
-			if pa, ok := baseModel.(forecast.PhaseAware); ok {
-				pa.SetWindowPhase(startPhase, cfg.Horizon)
-			}
-			baseMetrics, err := evaluateWindows(baseModel, rawWindows)
+			baseMetrics, err := sc.Evaluate(baseModel, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -86,8 +63,9 @@ func RetrainOnDecompressed(opts Options, names []string, models []string, bounds
 					return nil, err
 				}
 				for _, eps := range bounds {
-					decompressPart := func(s *timeseries.Series) ([]float64, error) {
-						c, err := comp.Compress(s, eps)
+					var dec [3][]float64
+					for i, part := range []*timeseries.Series{sc.Train, sc.Val, sc.Test} {
+						c, err := comp.Compress(part, eps)
 						if err != nil {
 							return nil, err
 						}
@@ -95,36 +73,14 @@ func RetrainOnDecompressed(opts Options, names []string, models []string, bounds
 						if err != nil {
 							return nil, err
 						}
-						return d.Values, nil
+						dec[i] = d.Values
 					}
-					decTrain, err := decompressPart(train)
+					model, err := sc.Fit(ctx, modelName, opts.Seed, dec[0], dec[1])
 					if err != nil {
 						return nil, err
-					}
-					decVal, err := decompressPart(val)
-					if err != nil {
-						return nil, err
-					}
-					decTest, err := decompressPart(test)
-					if err != nil {
-						return nil, err
-					}
-					model, err := forecast.New(modelName, cfg)
-					if err != nil {
-						return nil, err
-					}
-					if err := model.Fit(scaler.Transform(decTrain), scaler.Transform(decVal)); err != nil {
-						return nil, fmt.Errorf("retrain fit %s: %w", modelName, err)
-					}
-					if pa, ok := model.(forecast.PhaseAware); ok {
-						pa.SetWindowPhase(startPhase, cfg.Horizon)
 					}
 					// Inputs from decompressed test, accuracy against raw.
-					ws, err := timeseries.MakePairedWindows(scaler.Transform(decTest), scTest, cfg.InputLen, cfg.Horizon, cfg.Horizon)
-					if err != nil {
-						return nil, err
-					}
-					mMetrics, err := evaluateWindows(model, ws)
+					mMetrics, err := sc.Evaluate(model, dec[2])
 					if err != nil {
 						return nil, err
 					}

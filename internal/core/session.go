@@ -351,8 +351,12 @@ func NewSession(opts SessionOptions) (*Session, error) {
 	return s, nil
 }
 
-// sessionForecastConfig resolves the session's forecast config with the
-// same defaulting the batch harness applies.
+// sessionForecastConfig resolves the session's forecast config field by
+// field: each zero field takes forecast.DefaultConfig's value, except that
+// a zero SeasonalPeriod takes the session's Period and a zero Seed its
+// Seed. This differs from the batch harness (NewScenario), which replaces
+// the whole config with DefaultConfig when InputLen is zero and otherwise
+// keeps every field as given, zeros included.
 func sessionForecastConfig(o SessionOptions) forecast.Config {
 	cfg := o.Forecast
 	def := forecast.DefaultConfig()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -86,8 +87,8 @@ type Stage struct {
 }
 
 // Pipeline is an ordered stage graph. DefaultPipeline is Algorithm 1;
-// future stages (streaming ingest, retry, metrics export) slot in with
-// InsertBefore/InsertAfter without re-plumbing the harness.
+// InsertAfter slots further stages in (the result store's checkpoint)
+// without re-plumbing the harness.
 type Pipeline struct {
 	stages []Stage
 }
@@ -128,35 +129,20 @@ func (p *Pipeline) index(name string) int {
 	return -1
 }
 
-func (p *Pipeline) insert(at int, s Stage) error {
-	if s.Name == "" || s.Run == nil {
-		return fmt.Errorf("core: stage needs a name and a Run function")
-	}
-	if p.index(s.Name) >= 0 {
-		return fmt.Errorf("core: pipeline already has a stage %q", s.Name)
-	}
-	p.stages = append(p.stages, Stage{})
-	copy(p.stages[at+1:], p.stages[at:])
-	p.stages[at] = s
-	return nil
-}
-
-// InsertBefore adds s immediately before the named stage.
-func (p *Pipeline) InsertBefore(name string, s Stage) error {
-	i := p.index(name)
-	if i < 0 {
-		return fmt.Errorf("core: pipeline has no stage %q", name)
-	}
-	return p.insert(i, s)
-}
-
 // InsertAfter adds s immediately after the named stage.
 func (p *Pipeline) InsertAfter(name string, s Stage) error {
 	i := p.index(name)
 	if i < 0 {
 		return fmt.Errorf("core: pipeline has no stage %q", name)
 	}
-	return p.insert(i+1, s)
+	if s.Name == "" || s.Run == nil {
+		return fmt.Errorf("core: stage needs a name and a Run function")
+	}
+	if p.index(s.Name) >= 0 {
+		return fmt.Errorf("core: pipeline already has a stage %q", s.Name)
+	}
+	p.stages = slices.Insert(p.stages, i+1, s)
+	return nil
 }
 
 // run executes the stages in order for one dataset, checking cancellation
@@ -189,16 +175,10 @@ func (p *Pipeline) run(rc *RunContext, st *pipelineState) error {
 type pipelineState struct {
 	name string
 
-	// Ingest outputs. period and interval come from the dataset metadata.
-	period           int
-	interval         int64
-	test             *timeseries.Series
-	cfg              forecast.Config
-	scaler           timeseries.StandardScaler
-	scTrain, scVal   []float64
-	scTest           []float64
-	trainLen, valLen int
-	dr               *DatasetResult
+	// Ingest outputs: Algorithm 1's split, scaling and window geometry for
+	// the dataset's target, and the result the later stages fill in.
+	sc *Scenario
+	dr *DatasetResult
 
 	// Compress → Reconstruct handoff, parallel to dr.Cells. A nil entry
 	// marks a cell loaded from the result store: its reconstruction is
@@ -209,7 +189,7 @@ type pipelineState struct {
 	// without a store, or when the dataset was never checkpointed).
 	loaded *storedDataset
 	// evalCells indexes the dr.Cells entries this run must (re)evaluate;
-	// plan.cells and unitResult.cells are parallel to it, not to dr.Cells.
+	// cellWindows and unitResult.cells are parallel to it, not to dr.Cells.
 	// Without a store it lists every cell.
 	evalCells []int
 	// wantModels is the ordered subset of the requested models that must
@@ -217,8 +197,11 @@ type pipelineState struct {
 	// stored baselines. Without a store it is the full requested list.
 	wantModels []string
 
-	// Window outputs.
-	plan *datasetPlan
+	// Window outputs, read-only once built and shared by every (model,
+	// seed) unit: the raw test windows, and one paired window set per
+	// evalCells entry.
+	rawWindows  *timeseries.WindowSet
+	cellWindows []*timeseries.WindowSet
 
 	// Train/Forecast state: the (model, seed) grid.
 	models  []string
@@ -268,34 +251,15 @@ func runIngest(rc *RunContext, st *pipelineState) error {
 	if err != nil {
 		return err
 	}
-	st.period, st.interval = ds.SeasonalPeriod, ds.Interval
 	target := ds.Target()
-	train, val, test, err := target.Split(0.7, 0.1, 0.2)
-	if err != nil {
+	if st.sc, err = NewScenario(target, ds.SeasonalPeriod, rc.opts.Forecast, rc.opts.MaxEvalWindows); err != nil {
 		return err
 	}
-	cfg := rc.opts.Forecast
-	if cfg.InputLen == 0 {
-		cfg = forecast.DefaultConfig()
-	}
-	cfg.SeasonalPeriod = st.period
-	if cfg.InputLen >= test.Len()-cfg.Horizon {
-		return fmt.Errorf("test subset too short (%d) for input %d + horizon %d; increase Scale",
-			test.Len(), cfg.InputLen, cfg.Horizon)
-	}
-	if err := st.scaler.Fit(train.Values); err != nil {
-		return err
-	}
-	st.test = test
-	st.cfg = cfg
-	st.scTrain = st.scaler.Transform(train.Values)
-	st.scVal = st.scaler.Transform(val.Values)
-	st.scTest = st.scaler.Transform(test.Values)
-	st.trainLen, st.valLen = train.Len(), val.Len()
+	test := st.sc.Test
 	st.dr = &DatasetResult{
 		Name:           st.name,
-		SeasonalPeriod: st.period,
-		Interval:       st.interval,
+		SeasonalPeriod: ds.SeasonalPeriod,
+		Interval:       ds.Interval,
 		RawValues:      target.Values,
 		RawTest:        test.Values,
 		Baselines:      map[string]stats.Metrics{},
@@ -339,7 +303,7 @@ func runCompress(rc *RunContext, st *pipelineState) error {
 				st.comps = append(st.comps, nil)
 				continue
 			}
-			c, err := comp.Compress(st.test, eps)
+			c, err := comp.Compress(st.sc.Test, eps)
 			if err != nil {
 				return err
 			}
@@ -371,10 +335,10 @@ func runReconstruct(rc *RunContext, st *pipelineState) error {
 		if err != nil {
 			return err
 		}
-		if cell.CR, err = compress.Ratio(st.test, st.comps[ci]); err != nil {
+		if cell.CR, err = compress.Ratio(st.sc.Test, st.comps[ci]); err != nil {
 			return err
 		}
-		if cell.TE, err = stats.Evaluate(st.test.Values, dec.Values); err != nil {
+		if cell.TE, err = stats.Evaluate(st.sc.Test.Values, dec.Values); err != nil {
 			return err
 		}
 		cell.Decompressed = dec.Values
@@ -387,45 +351,25 @@ func runReconstruct(rc *RunContext, st *pipelineState) error {
 // runWindow caches the evaluation windows every (model, seed) unit shares:
 // the raw baseline windows and one paired window set per cell.
 func runWindow(rc *RunContext, st *pipelineState) error {
-	cfg := st.cfg
-	evalStride := cfg.Horizon
-	if m := rc.opts.MaxEvalWindows; m > 0 {
-		if full := (st.test.Len() - cfg.InputLen - cfg.Horizon) / cfg.Horizon; full > m {
-			evalStride = (st.test.Len() - cfg.InputLen - cfg.Horizon) / m
-		}
-	}
-	rawWindows, err := timeseries.MakeWindows(st.scTest, cfg.InputLen, cfg.Horizon, evalStride)
-	if err != nil {
+	var err error
+	if st.rawWindows, err = st.sc.Windows(nil); err != nil {
 		return err
 	}
 	// With a store, only the delta — cells or models the store lacks —
 	// is planned, trained, and evaluated; stored results ride along
 	// untouched. Without one the delta is the whole grid.
 	st.deltaPlan(rc.opts.models())
-	// The scaled decompression and its paired windows depend only on the
-	// cell, so they are computed exactly once and shared (read-only) by
-	// every (model, seed) unit — and only for cells that actually need
-	// evaluation.
-	st.plan = &datasetPlan{
-		cfg:        cfg,
-		scTrain:    st.scTrain,
-		scVal:      st.scVal,
-		rawWindows: rawWindows,
-		cells:      make([]cellPlan, len(st.evalCells)),
-		evalStride: evalStride,
-		phaseStart: (st.trainLen + st.valLen) % st.period,
-	}
+	// A cell's paired windows depend only on the cell, so they are built
+	// exactly once and shared (read-only) by every (model, seed) unit —
+	// and only for cells that actually need evaluation.
+	st.cellWindows = make([]*timeseries.WindowSet, len(st.evalCells))
 	for pi, ci := range st.evalCells {
 		if err := rc.Err(); err != nil {
 			return err
 		}
-		cell := st.dr.Cells[ci]
-		scDec := st.scaler.Transform(cell.Decompressed)
-		ws, err := timeseries.MakePairedWindows(scDec, st.scTest, cfg.InputLen, cfg.Horizon, evalStride)
-		if err != nil {
+		if st.cellWindows[pi], err = st.sc.Windows(st.dr.Cells[ci].Decompressed); err != nil {
 			return err
 		}
-		st.plan.cells[pi] = cellPlan{method: cell.Method, epsilon: cell.Epsilon, windows: ws}
 	}
 	return nil
 }
@@ -500,15 +444,8 @@ func runTrain(rc *RunContext, st *pipelineState) error {
 		func(i int) error {
 			u := st.units[i]
 			defer rc.acc.units.Add(1)
-			mcfg := st.plan.cfg
-			mcfg.Seed = rc.opts.Seed + int64(u.si)*7919
-			model, err := forecast.New(u.model, mcfg)
+			model, err := st.sc.Fit(rc.ctx, u.model, rc.opts.Seed+int64(u.si)*7919, nil, nil)
 			if err != nil {
-				st.results[u.mi][u.si] = unitResult{err: err}
-				return err
-			}
-			if err := forecast.FitContext(rc.ctx, model, st.plan.scTrain, st.plan.scVal); err != nil {
-				err = fmt.Errorf("fit %s: %w", u.model, err)
 				st.results[u.mi][u.si] = unitResult{err: err}
 				return err
 			}
@@ -530,33 +467,28 @@ func runForecast(rc *RunContext, st *pipelineState) error {
 		func(i int) error {
 			u := st.units[i]
 			model := st.trained[u.mi][u.si]
-			// The harness knows each window's absolute position, so
-			// phase-aware models (Arima) receive real time indices for
-			// their Fourier terms, exactly as the paper's timestamps do.
-			if pa, ok := model.(forecast.PhaseAware); ok {
-				pa.SetWindowPhase(st.plan.phaseStart, st.plan.evalStride)
-			}
-			base, err := evaluateWindows(model, st.plan.rawWindows)
+			base, err := st.sc.Score(model, st.rawWindows)
 			if err != nil {
 				err = fmt.Errorf("baseline %s: %w", u.model, err)
 				st.results[u.mi][u.si] = unitResult{err: err}
 				return err
 			}
-			cells := make([]stats.Metrics, len(st.plan.cells))
-			for ci, cp := range st.plan.cells {
+			cells := make([]stats.Metrics, len(st.cellWindows))
+			for pi, ws := range st.cellWindows {
 				if err := rc.Err(); err != nil {
 					st.results[u.mi][u.si] = unitResult{err: err}
 					return err
 				}
-				m, err := evaluateWindows(model, cp.windows)
+				m, err := st.sc.Score(model, ws)
 				if err != nil {
-					err = fmt.Errorf("%s on %s eps=%v: %w", u.model, cp.method, cp.epsilon, err)
+					cell := st.dr.Cells[st.evalCells[pi]]
+					err = fmt.Errorf("%s on %s eps=%v: %w", u.model, cell.Method, cell.Epsilon, err)
 					st.results[u.mi][u.si] = unitResult{err: err}
 					return err
 				}
-				cells[ci] = m
+				cells[pi] = m
 			}
-			rc.acc.cellEvals.Add(int64(len(st.plan.cells)))
+			rc.acc.cellEvals.Add(int64(len(st.cellWindows)))
 			st.results[u.mi][u.si] = unitResult{base: base, cells: cells}
 			return nil
 		},

@@ -1,9 +1,9 @@
 package features
 
 // StreamACF tracks the exact autocorrelation function of a growing stream
-// at lags 1..MaxLag in O(MaxLag) state: running sum and sum of squares,
-// the lagged cross-products, the prefix sums of the first MaxLag values,
-// and a ring of the last MaxLag values. At() agrees with the batch ACF over
+// at lags 1..maxLag in O(maxLag) state: running sum and sum of squares,
+// the lagged cross-products, the prefix sums of the first maxLag values,
+// and a ring of the last maxLag values. At() agrees with the batch ACF over
 // the full history to floating-point accumulation order — the tracker is an
 // algebraic rearrangement, not an approximation — so codecs (CAMEO) and
 // monitors can bound ACF deviation incrementally without re-scanning.
@@ -40,13 +40,10 @@ func NewStreamACF(maxLag int) *StreamACF {
 	}
 }
 
-// MaxLag returns the largest tracked lag.
-func (a *StreamACF) MaxLag() int { return a.maxLag }
-
 // Len returns the number of values pushed.
 func (a *StreamACF) Len() int { return a.n }
 
-// Push feeds the next value. O(MaxLag).
+// Push feeds the next value. O(maxLag).
 func (a *StreamACF) Push(v float64) {
 	for k := 1; k <= a.maxLag && k <= a.n; k++ {
 		a.cross[k] += v * a.ring[(a.n-k)%a.maxLag]
@@ -60,10 +57,10 @@ func (a *StreamACF) Push(v float64) {
 	a.sumsq += v * v
 }
 
-// Into fills dst[k−1] with the autocorrelation at lag k for k=1..MaxLag,
+// Into fills dst[k−1] with the autocorrelation at lag k for k=1..maxLag,
 // matching the batch ACF's conventions (zero beyond the data length or for
-// constant series). dst must have length ≥ MaxLag; the filled prefix is
-// returned. Allocation-free. O(MaxLag).
+// constant series). dst must have length ≥ maxLag; the filled prefix is
+// returned. Allocation-free. O(maxLag).
 func (a *StreamACF) Into(dst []float64) []float64 {
 	dst = dst[:a.maxLag]
 	for i := range dst {
@@ -89,7 +86,7 @@ func (a *StreamACF) Into(dst []float64) []float64 {
 	return dst
 }
 
-// At returns the autocorrelation at a single lag (1..MaxLag). O(MaxLag).
+// At returns the autocorrelation at a single lag (1..maxLag). O(maxLag).
 func (a *StreamACF) At(lag int) float64 {
 	if lag <= 0 {
 		return 1

@@ -249,22 +249,6 @@ type forecastResponse struct {
 	TFE         *float64        `json:"tfe,omitempty"`
 }
 
-// scoreWindows predicts every window and scores the flattened forecasts
-// against the flattened targets (calculateMetrics of the paper's
-// Algorithm 1, as the core harness does).
-func scoreWindows(model forecast.Model, ws *timeseries.WindowSet) (stats.Metrics, error) {
-	preds, err := model.Predict(ws.Inputs())
-	if err != nil {
-		return stats.Metrics{}, err
-	}
-	var x, y []float64
-	for i, p := range preds {
-		y = append(y, p...)
-		x = append(x, ws.Windows[i].Target...)
-	}
-	return stats.Evaluate(x, y)
-}
-
 // handleForecast implements POST /v1/forecast?model=&method=&eps=&... —
 // one grid cell, on the client's own series, as a request: split the series
 // as the paper does (70/10/20), train the model on the raw training data,
@@ -352,41 +336,25 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) error {
 // cache and singleflight layers protect.
 func (s *Server) computeForecast(ctx context.Context, modelName string, cfg forecast.Config, method compress.Method, comp compress.Compressor, eps float64, sp seriesParams, values []float64) ([]byte, error) {
 	series := timeseries.New("request", sp.start, sp.interval, values)
-	train, val, test, err := series.Split(0.7, 0.1, 0.2)
+	// Every error building the scenario is the request's: a series too
+	// short to split, to window, or to scale.
+	sc, err := core.NewScenario(series, cfg.SeasonalPeriod, cfg, 0)
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
-	if cfg.InputLen >= test.Len()-cfg.Horizon {
-		return nil, badRequest("series too short: the test subset has %d points, need more than input %d + horizon %d — send at least %d values",
-			test.Len(), cfg.InputLen, cfg.Horizon, (cfg.InputLen+cfg.Horizon+1)*5)
-	}
-	var scaler timeseries.StandardScaler
-	if err := scaler.Fit(train.Values); err != nil {
-		return nil, badRequest("%v", err)
-	}
-	scTrain := scaler.Transform(train.Values)
-	scVal := scaler.Transform(val.Values)
-	scTest := scaler.Transform(test.Values)
-
-	model, err := forecast.New(modelName, cfg)
+	model, err := sc.Fit(ctx, modelName, cfg.Seed, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := forecast.FitContext(ctx, model, scTrain, scVal); err != nil {
-		return nil, err
-	}
-	stride := cfg.Horizon
-	rawWindows, err := timeseries.MakeWindows(scTest, cfg.InputLen, cfg.Horizon, stride)
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
-	if pa, ok := model.(forecast.PhaseAware); ok && cfg.SeasonalPeriod > 0 {
-		pa.SetWindowPhase((train.Len()+val.Len())%cfg.SeasonalPeriod, stride)
-	}
-	base, err := scoreWindows(model, rawWindows)
+	rawWindows, err := sc.Windows(nil)
 	if err != nil {
 		return nil, err
 	}
+	base, err := sc.Score(model, rawWindows)
+	if err != nil {
+		return nil, err
+	}
+	test := sc.Test
 	resp := forecastResponse{
 		Model:    modelName,
 		N:        series.Len(),
@@ -432,11 +400,7 @@ func (s *Server) computeForecast(ctx context.Context, modelName string, cfg fore
 		if err != nil {
 			return nil, err
 		}
-		pairs, err := timeseries.MakePairedWindows(scaler.Transform(dec.Values), scTest, cfg.InputLen, cfg.Horizon, stride)
-		if err != nil {
-			return nil, err
-		}
-		tm, err := scoreWindows(model, pairs)
+		tm, err := sc.Evaluate(model, dec.Values)
 		if err != nil {
 			return nil, err
 		}

@@ -7,7 +7,6 @@ import (
 	"lossyts/internal/anomaly"
 	"lossyts/internal/compress"
 	"lossyts/internal/core"
-	"lossyts/internal/core/cellstore"
 	"lossyts/internal/datasets"
 	"lossyts/internal/features"
 	"lossyts/internal/forecast"
@@ -350,8 +349,6 @@ type (
 	// from a store, or a resumed mix — with the cell counts of each, so
 	// consumers never misread a loaded grid's zero timings as a measurement.
 	GridProvenance = core.Provenance
-	// GridStoreInfo summarises a result store file (InspectGridStore).
-	GridStoreInfo = core.StoreInfo
 	// ReportTable is an aligned text table produced by the experiments.
 	ReportTable = core.Table
 )
@@ -392,23 +389,15 @@ func SaveGrid(g *GridResult, path string) error { return core.SaveGrid(g, path) 
 // Provenance says where its cells came from.
 func LoadGrid(path string) (*GridResult, error) { return core.LoadGrid(path) }
 
-// InspectGridStore summarises a result store file without assembling the
-// grid: which option signatures it holds, cell counts per dataset, and
-// whether it records a completed (loadable) run.
-func InspectGridStore(path string) (GridStoreInfo, error) { return core.InspectStore(path) }
-
 // Distributed work plane: the grid as a partitionable job. Workers share
 // nothing but the filesystem — each runs one deterministic slice of the
 // cell space against its own journal, and the journals merge into one
-// canonical store byte-for-byte interchangeable with a single-process run's.
-type (
-	// GridWorkerSummary is a partition run's machine-readable provenance:
-	// cells owned, stolen, computed, and loaded, plus wall clock.
-	GridWorkerSummary = core.WorkerSummary
-	// GridMergeStats summarises a MergeGridStores call (sources, records,
-	// and any conflicting keys).
-	GridMergeStats = cellstore.MergeStats
-)
+// canonical store byte-for-byte interchangeable with a single-process run's
+// (cmd/gridstore merges and inspects stores).
+//
+// GridWorkerSummary is a partition run's machine-readable provenance: cells
+// owned, stolen, computed, and loaded, plus wall clock.
+type GridWorkerSummary = core.WorkerSummary
 
 // RunGridPartition evaluates partition index of workers (0-based) of the
 // grid opts describes, checkpointing into opts.Store (the worker's own
@@ -418,15 +407,6 @@ type (
 // enumerating the same options computes the same split.
 func RunGridPartition(opts EvalOptions, workers, index int, peers []string) (GridWorkerSummary, error) {
 	return core.RunGridPartition(opts, workers, index, peers)
-}
-
-// MergeGridStores combines per-worker journals into one canonical store at
-// dst and stamps it with the worker count, so the merged grid's Provenance
-// reports "merged from N worker journals". Worker journals for the same
-// option set hold bit-identical records for shared keys; any payload
-// conflict is an error, not a silent overwrite.
-func MergeGridStores(dst string, workers []string) (GridMergeStats, error) {
-	return core.MergeWorkerStores(dst, workers)
 }
 
 // Recommendation is a concrete compression operating point.
