@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"lossyts/internal/compress"
+	"lossyts/internal/core/cellstore"
 	"lossyts/internal/forecast"
 )
 
@@ -242,6 +245,38 @@ func TestSessionModelResume(t *testing.T) {
 		t.Fatalf("model session resume diverged:\n%s\nvs\n%s",
 			reportBytes(t, want), reportBytes(t, got))
 	}
+	if runtime.GOARCH == "amd64" {
+		sum := sha256.Sum256(checkpointJSON(t, resumed))
+		if got := hex.EncodeToString(sum[:]); got != checkpointGoldenAMD64 {
+			t.Fatalf("final checkpoint record drifted from the committed golden:\n got  %s\n want %s", got, checkpointGoldenAMD64)
+		}
+	}
+}
+
+// checkpointGoldenAMD64 is the SHA-256 of the JSON of the final checkpoint
+// record that TestSessionModelResume's resumed DLinear session writes, as
+// computed on linux/amd64. Float arithmetic may differ on other
+// architectures, so the comparison runs on amd64 only.
+const checkpointGoldenAMD64 = "035d543ca33318461e4bb396a031597211e3339438e3bb755a65a71a0f080288"
+
+// checkpointJSON returns the JSON of the checkpoint record that a finished
+// session left in its store.
+func checkpointJSON(t *testing.T, s *Session) []byte {
+	t.Helper()
+	store, err := cellstore.OpenReadOnly(s.opts.Store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	payload, ok := store.Get(s.opts.stateRecordKey())
+	if !ok {
+		t.Fatal("store holds no session checkpoint")
+	}
+	j, err := compress.GunzipBytes(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j
 }
 
 // TestMonitorSweepParallelismInvariant: the sweep's merged output is
