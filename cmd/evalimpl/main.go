@@ -13,6 +13,22 @@
 // locally spawned worker processes, each journaling its partition to its own
 // file; the coordinator merges the journals into -store and the run proceeds
 // as if one process had computed everything — the results are byte-identical.
+//
+// With -partition i/n (requires -store), evalimpl runs as one grid worker:
+// it computes only the i-th of n deterministic slices of the grid into its
+// own journal, prints a JSON summary (cells owned, stolen, computed and
+// loaded, wall clock) on stdout and exits. Workers on other machines over a
+// shared mount form the same fleet as -workers:
+//
+//	evalimpl -partition 1/3 -store w1.cells &
+//	evalimpl -partition 2/3 -store w2.cells &
+//	evalimpl -partition 3/3 -store w3.cells &
+//	wait
+//	gridstore merge merged.cells w1.cells w2.cells w3.cells
+//
+// With -peers, a worker that finishes its own slice scans the listed peer
+// journals and computes whatever nobody has claimed or checkpointed, so one
+// dead worker delays the grid by a steal pass instead of forever.
 package main
 
 import (
@@ -32,8 +48,8 @@ func main() {
 		saveGrid   = flag.String("savegrid", "", "after the run, save the evaluation grid to this file (cell store)")
 		loadGrid   = flag.String("loadgrid", "", "load a previously saved evaluation grid instead of recomputing")
 		workers    = flag.Int("workers", 0, "split the grid across N locally spawned worker processes (requires -store)")
-		partition  = flag.String("partition", "", "internal: run as one grid worker (1-based i/n); used by the -workers coordinator")
-		peers      = flag.String("peers", "", "internal: comma-separated peer journals for the worker steal pass")
+		partition  = flag.String("partition", "", "run as one grid worker on partition i/n (1-based; requires -store) and print its JSON summary")
+		peers      = flag.String("peers", "", "with -partition: comma-separated peer journals to scan for unclaimed work after the owned slice drains")
 		grid       = cli.BindGrid(flag.CommandLine)
 		common     = cli.Bind(flag.CommandLine)
 	)
@@ -52,8 +68,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Hidden worker mode: the -workers coordinator re-execs this binary once
-	// per partition with -partition i/n.
+	// Worker mode: run by hand on each machine, or by the -workers
+	// coordinator, which re-execs this binary once per partition.
 	if *partition != "" {
 		code := workerMain(*partition, *peers, grid, common, os.Stdout, os.Stderr)
 		stopProfiles()

@@ -2,7 +2,7 @@ package main
 
 // Coordinator mode: -workers N turns one evalimpl invocation into a small
 // fleet. The coordinator re-execs its own binary once per partition with
-// the hidden -partition/-peers flags, waits for every worker, merges the
+// the -partition/-peers flags, waits for every worker, merges the
 // per-worker journals into the -store path, and then falls through to the
 // normal run — which finds every cell already present and assembles the
 // grid with "merged" provenance. Worker journals live next to the store as
@@ -23,7 +23,7 @@ import (
 	"lossyts/internal/core"
 )
 
-// workerMain is the hidden worker mode: run one partition against this
+// workerMain is the worker mode: run one partition against this
 // worker's own journal and print the summary as JSON on stdout.
 func workerMain(partition, peers string, grid *cli.Grid, common *cli.Common, stdout, stderr io.Writer) int {
 	index, workers, err := cli.ParsePartition(partition)

@@ -50,7 +50,7 @@ func Bind(fs *flag.FlagSet) *Common {
 }
 
 // BindStore registers the result-store flag. Commands that evaluate grid
-// cells through the harness (evalimpl, gridworker, tsforecast) offer it:
+// cells through the harness (evalimpl, tsforecast) offer it:
 // with a store, every completed cell is checkpointed durably, an
 // interrupted run resumes where it stopped, and a grown grid computes only
 // its delta.
@@ -59,8 +59,9 @@ func (c *Common) BindStore(fs *flag.FlagSet) {
 }
 
 // Grid carries the grid-selection flags shared by the commands that run
-// the evaluation grid (evalimpl, gridworker), so a coordinator and the
-// partition workers it spawns parse identical grids from identical flags.
+// the evaluation grid (evalimpl and its -partition workers), so a
+// coordinator and the workers it spawns parse identical grids from
+// identical flags.
 type Grid struct {
 	// Scale shrinks dataset lengths ((0, 1]; overridden to 1 by Full).
 	Scale float64

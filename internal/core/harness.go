@@ -320,7 +320,7 @@ func RunGridContext(ctx context.Context, opts Options) (*GridResult, error) {
 }
 
 // openStore opens the run's result store, wires the checkpoint WorkExec,
-// inserts the checkpoint stage (store-less pipelines keep their canonical
+// appends the checkpoint stage (store-less pipelines keep their canonical
 // stage list), and reads the merged-provenance stamp if one is present.
 func (rc *RunContext) openStore() error {
 	store, err := cellstore.Open(rc.opts.Store)
@@ -330,10 +330,7 @@ func (rc *RunContext) openStore() error {
 	rc.store = store
 	rc.exec = NewWorkExec(store)
 	rc.workers = readWorkersStamp(store)
-	if err := rc.pipeline.InsertAfter(StageAnalyze, Stage{Name: StageCheckpoint, Run: runCheckpoint}); err != nil {
-		store.Close()
-		return err
-	}
+	rc.pipeline.stages = append(rc.pipeline.stages, Stage{Name: StageCheckpoint, Run: runCheckpoint})
 	return nil
 }
 

@@ -20,8 +20,8 @@ import (
 
 // WorkerSummary is a partition run's machine-readable provenance: what the
 // worker owned, what it stole, what it actually computed versus found
-// already journaled, and how long it took. cmd/gridworker prints it as
-// JSON on exit.
+// already journaled, and how long it took. evalimpl -partition prints it
+// as JSON on exit.
 type WorkerSummary struct {
 	// Partition is the 1-based partition number (matching the CLI's "i/n"
 	// syntax); Workers is n.

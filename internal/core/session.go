@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 
 	"lossyts/internal/anomaly"
 	"lossyts/internal/compress"
@@ -182,7 +183,7 @@ type sessionState struct {
 	LastUpdate   int64                `json:"last_update"`
 	LastForecast int64                `json:"last_forecast"`
 	Model        *forecast.ModelState `json:"model,omitempty"`
-	FitTrain     []float64            `json:"fit_train,omitempty"`
+	FitTrain     []float64            `json:"fit_train,omitempty"` // last (scaled) fit window, for refit-on-resume
 	FitVal       []float64            `json:"fit_val,omitempty"`
 	Pending      []pendingForecast    `json:"pending,omitempty"`
 
@@ -220,37 +221,16 @@ type Session struct {
 
 	scaler timeseries.StandardScaler
 
-	sigma     float64
-	sigmaSet  bool
-	warmupBuf []float64
-
 	spikePos   []int
 	spikeDelta []float64
 	driftPos   int64 // −1 when no drift injected
 
-	model        forecast.Model
-	modelTrained bool
-	lastUpdate   int64
-	lastForecast int64
-	fitTrain     []float64 // last (scaled) fit window, for refit-on-resume
-	fitVal       []float64
-	pending      []pendingForecast
+	model forecast.Model
 
-	tick   int
-	total  int64
-	events []MonitorEvent
-
-	rawBytes, compBytes int64
-	sqErr               float64
-	errN                int64
-	rawMin, rawMax      float64
-	fSqErr              float64
-	fN                  int64
-
-	detected        []int64
-	driftDetectedAt int64
-	falseAlerts     int
-	indicatorAlerts int
+	// st holds the counters, buffers and accumulators that a checkpoint
+	// stores as they are. The monitors, scaler and model above own the
+	// rest of the state; checkpoint snapshots them into its copy of st.
+	st sessionState
 }
 
 // NewSession validates the options and builds the monitors. The stream
@@ -297,16 +277,18 @@ func NewSession(opts SessionOptions) (*Session, error) {
 	opts.Warmup = warmup
 
 	s := &Session{
-		opts:            opts,
-		period:          period,
-		warmup:          warmup,
-		n:               n,
-		driftPos:        -1,
-		driftDetectedAt: -1,
-		rawMin:          math.Inf(1),
-		rawMax:          math.Inf(-1),
-		lastUpdate:      -1,
-		lastForecast:    -1,
+		opts:     opts,
+		period:   period,
+		warmup:   warmup,
+		n:        n,
+		driftPos: -1,
+		st: sessionState{
+			DriftDetectedAt: -1,
+			RawMin:          math.Inf(1),
+			RawMax:          math.Inf(-1),
+			LastUpdate:      -1,
+			LastForecast:    -1,
+		},
 	}
 
 	comp, err := compress.New(opts.Method)
@@ -450,13 +432,13 @@ func (s *Session) loop(ctx context.Context, next func() (timeseries.Chunk, bool)
 			break
 		}
 		tick++
-		if tick <= s.tick {
+		if tick <= s.st.Tick {
 			continue // already absorbed before the checkpoint; regenerate and skip
 		}
 		if err := s.processChunk(ctx, c); err != nil {
 			return nil, err
 		}
-		s.tick = tick
+		s.st.Tick = tick
 		if store != nil && tick%ckEvery == 0 {
 			if err := s.checkpoint(store); err != nil {
 				return nil, err
@@ -483,22 +465,22 @@ func (s *Session) processChunk(ctx context.Context, c timeseries.Chunk) error {
 	// Inject ground truth into the raw chunk (copy: chunks may alias the
 	// generator's buffers).
 	raw := append([]float64(nil), c.Values...)
-	base := s.total
+	base := s.st.Total
 	for i := range raw {
 		g := base + int64(i)
-		if !s.sigmaSet && g < int64(s.warmup) {
-			s.warmupBuf = append(s.warmupBuf, raw[i])
+		if !s.st.SigmaSet && g < int64(s.warmup) {
+			s.st.Warmup = append(s.st.Warmup, raw[i])
 		}
-		if !s.sigmaSet && g == int64(s.warmup) {
+		if !s.st.SigmaSet && g == int64(s.warmup) {
 			s.freezeSigma()
 		}
-		if s.sigmaSet {
+		if s.st.SigmaSet {
 			if s.driftPos >= 0 && g >= s.driftPos {
-				raw[i] += s.driftMagnitude() * s.sigma
+				raw[i] += s.driftMagnitude() * s.st.Sigma
 			}
 			for k, p := range s.spikePos {
 				if int64(p) == g && int64(p) >= int64(s.warmup) {
-					raw[i] += s.spikeDelta[k] * s.spikeMagnitude() * s.sigma
+					raw[i] += s.spikeDelta[k] * s.spikeMagnitude() * s.st.Sigma
 				}
 			}
 		}
@@ -506,7 +488,7 @@ func (s *Session) processChunk(ctx context.Context, c timeseries.Chunk) error {
 	// A stream whose warmup boundary falls exactly on a chunk seam freezes
 	// σ at the start of the next chunk; handle end-of-warmup inside chunks
 	// shorter than the boundary too.
-	if !s.sigmaSet && s.total+int64(len(raw)) >= int64(s.warmup) && len(s.warmupBuf) >= s.warmup {
+	if !s.st.SigmaSet && s.st.Total+int64(len(raw)) >= int64(s.warmup) && len(s.st.Warmup) >= s.warmup {
 		s.freezeSigma()
 	}
 
@@ -528,19 +510,19 @@ func (s *Session) processChunk(ctx context.Context, c timeseries.Chunk) error {
 	if err != nil {
 		return err
 	}
-	s.rawBytes += int64(rawGz)
-	s.compBytes += int64(comp.Size())
+	s.st.RawBytes += int64(rawGz)
+	s.st.CompBytes += int64(comp.Size())
 
 	// Transformation error and range accumulators.
 	for i := range raw {
 		d := raw[i] - recon[i]
-		s.sqErr += d * d
-		s.errN++
-		if raw[i] < s.rawMin {
-			s.rawMin = raw[i]
+		s.st.SqErr += d * d
+		s.st.ErrN++
+		if raw[i] < s.st.RawMin {
+			s.st.RawMin = raw[i]
 		}
-		if raw[i] > s.rawMax {
-			s.rawMax = raw[i]
+		if raw[i] > s.st.RawMax {
+			s.st.RawMax = raw[i]
 		}
 	}
 
@@ -561,8 +543,8 @@ func (s *Session) processChunk(ctx context.Context, c timeseries.Chunk) error {
 	}
 	for _, ck := range checks {
 		if ck.Report.Alert {
-			s.indicatorAlerts++
-			s.addEvent("indicator-drift", ck.Index, joinReasons(ck.Report.Reasons))
+			s.st.IndicatorAlerts++
+			s.addEvent("indicator-drift", ck.Index, strings.Join(ck.Report.Reasons, ","))
 		}
 	}
 	idx, err := s.anom.Push(recon)
@@ -574,7 +556,7 @@ func (s *Session) processChunk(ctx context.Context, c timeseries.Chunk) error {
 	for _, v := range recon {
 		s.recon.Push(v)
 	}
-	s.total += int64(len(raw))
+	s.st.Total += int64(len(raw))
 
 	// Model lifecycle at tick boundaries.
 	if s.model != nil {
@@ -587,13 +569,13 @@ func (s *Session) processChunk(ctx context.Context, c timeseries.Chunk) error {
 
 // freezeSigma fits the scaler and injection σ on the warmup prefix.
 func (s *Session) freezeSigma() {
-	if len(s.warmupBuf) == 0 {
+	if len(s.st.Warmup) == 0 {
 		return
 	}
-	_ = s.scaler.Fit(s.warmupBuf)
-	s.sigma = s.scaler.Std
-	s.sigmaSet = true
-	s.warmupBuf = nil
+	_ = s.scaler.Fit(s.st.Warmup)
+	s.st.Sigma = s.scaler.Std
+	s.st.SigmaSet = true
+	s.st.Warmup = nil
 }
 
 func (s *Session) spikeMagnitude() float64 {
@@ -617,23 +599,23 @@ func (s *Session) noteShift(a features.ShiftAlert) {
 		return
 	}
 	if s.driftPos >= 0 && a.Index >= s.driftPos {
-		if s.driftDetectedAt < 0 {
-			s.driftDetectedAt = a.Index
+		if s.st.DriftDetectedAt < 0 {
+			s.st.DriftDetectedAt = a.Index
 		}
 	} else {
-		s.falseAlerts++
+		s.st.FalseAlerts++
 	}
 }
 
 func (s *Session) noteAnomalies(idx []int64) {
 	for _, g := range idx {
-		s.detected = append(s.detected, g)
+		s.st.Detected = append(s.st.Detected, g)
 		s.addEvent("anomaly", g, "")
 	}
 }
 
 func (s *Session) addEvent(kind string, index int64, detail string) {
-	s.events = append(s.events, MonitorEvent{
+	s.st.Events = append(s.st.Events, MonitorEvent{
 		Kind:   kind,
 		Index:  index,
 		Time:   s.start + index*s.interv,
@@ -641,57 +623,46 @@ func (s *Session) addEvent(kind string, index int64, detail string) {
 	})
 }
 
-func joinReasons(reasons []string) string {
-	out := ""
-	for i, r := range reasons {
-		if i > 0 {
-			out += ","
-		}
-		out += r
-	}
-	return out
-}
-
 // modelStep fits, updates, and issues forecasts at tick boundaries.
 func (s *Session) modelStep(ctx context.Context) error {
 	cfg := sessionForecastConfig(s.opts)
 	fitter := s.model.(forecast.IncrementalFitter)
-	if !s.modelTrained {
-		if s.total < int64(s.warmup) || !s.sigmaSet {
+	if !s.st.ModelTrained {
+		if s.st.Total < int64(s.warmup) || !s.st.SigmaSet {
 			return nil
 		}
 		train, val := s.trainWindow()
 		if err := fitter.Fit(train, val); err != nil {
 			return err
 		}
-		s.modelTrained = true
-		s.lastUpdate = s.total
-		s.fitTrain, s.fitVal = train, val
-		s.addEvent("model-fit", s.total-1, fmt.Sprintf("points=%d", len(train)+len(val)))
-	} else if s.total-s.lastUpdate >= int64(s.updateEvery()) {
+		s.st.ModelTrained = true
+		s.st.LastUpdate = s.st.Total
+		s.st.FitTrain, s.st.FitVal = train, val
+		s.addEvent("model-fit", s.st.Total-1, fmt.Sprintf("points=%d", len(train)+len(val)))
+	} else if s.st.Total-s.st.LastUpdate >= int64(s.updateEvery()) {
 		train, val := s.trainWindow()
 		if err := fitter.Update(ctx, train, val); err != nil {
 			return err
 		}
-		s.lastUpdate = s.total
-		s.fitTrain, s.fitVal = train, val
-		s.addEvent("model-update", s.total-1, fmt.Sprintf("points=%d", len(train)+len(val)))
+		s.st.LastUpdate = s.st.Total
+		s.st.FitTrain, s.st.FitVal = train, val
+		s.addEvent("model-update", s.st.Total-1, fmt.Sprintf("points=%d", len(train)+len(val)))
 	}
 	// Issue a forecast for the next Horizon points when the previous one
 	// has run its course.
-	if s.modelTrained && s.recon.Len() >= cfg.InputLen &&
-		(s.lastForecast < 0 || s.total-s.lastForecast >= int64(cfg.Horizon)) {
+	if s.st.ModelTrained && s.recon.Len() >= cfg.InputLen &&
+		(s.st.LastForecast < 0 || s.st.Total-s.st.LastForecast >= int64(cfg.Horizon)) {
 		window := s.recon.CopyTo(nil)
 		in := s.scaler.Transform(window[len(window)-cfg.InputLen:])
 		preds, err := s.model.Predict([][]float64{in})
 		if err != nil {
 			return err
 		}
-		s.pending = append(s.pending, pendingForecast{
-			Start: s.total,
+		s.st.Pending = append(s.st.Pending, pendingForecast{
+			Start: s.st.Total,
 			Preds: s.scaler.Inverse(preds[0]),
 		})
-		s.lastForecast = s.total
+		s.st.LastForecast = s.st.Total
 	}
 	return nil
 }
@@ -713,8 +684,8 @@ func (s *Session) trainWindow() (train, val []float64) {
 
 // scorePending folds newly arrived raw values into outstanding forecasts.
 func (s *Session) scorePending(raw []float64, base int64) {
-	kept := s.pending[:0]
-	for _, p := range s.pending {
+	kept := s.st.Pending[:0]
+	for _, p := range s.st.Pending {
 		for p.Done < len(p.Preds) {
 			g := p.Start + int64(p.Done)
 			i := g - base
@@ -722,15 +693,15 @@ func (s *Session) scorePending(raw []float64, base int64) {
 				break
 			}
 			d := p.Preds[p.Done] - raw[i]
-			s.fSqErr += d * d
-			s.fN++
+			s.st.FSqErr += d * d
+			s.st.FN++
 			p.Done++
 		}
 		if p.Done < len(p.Preds) {
 			kept = append(kept, p)
 		}
 	}
-	s.pending = kept
+	s.st.Pending = kept
 }
 
 // report assembles the final SessionReport from the session state.
@@ -740,36 +711,36 @@ func (s *Session) report() *SessionReport {
 		Method:          s.opts.Method,
 		Epsilon:         s.opts.Epsilon,
 		Model:           s.opts.Model,
-		Points:          s.total,
-		Ticks:           s.tick,
+		Points:          s.st.Total,
+		Ticks:           s.st.Tick,
 		Period:          s.period,
 		Warmup:          s.warmup,
-		Events:          s.events,
+		Events:          s.st.Events,
 		DriftInjectedAt: s.driftPos,
-		DriftDetectedAt: s.driftDetectedAt,
+		DriftDetectedAt: s.st.DriftDetectedAt,
 		DriftDelay:      -1,
-		FalseAlerts:     s.falseAlerts,
-		IndicatorAlerts: s.indicatorAlerts,
-		Detected:        s.detected,
+		FalseAlerts:     s.st.FalseAlerts,
+		IndicatorAlerts: s.st.IndicatorAlerts,
+		Detected:        s.st.Detected,
 	}
 	if rep.Events == nil {
 		rep.Events = []MonitorEvent{}
 	}
-	if s.compBytes > 0 {
-		rep.CompressionRatio = float64(s.rawBytes) / float64(s.compBytes)
+	if s.st.CompBytes > 0 {
+		rep.CompressionRatio = float64(s.st.RawBytes) / float64(s.st.CompBytes)
 	}
-	if s.errN > 0 && s.rawMax > s.rawMin {
-		rep.TE = math.Sqrt(s.sqErr/float64(s.errN)) / (s.rawMax - s.rawMin)
+	if s.st.ErrN > 0 && s.st.RawMax > s.st.RawMin {
+		rep.TE = math.Sqrt(s.st.SqErr/float64(s.st.ErrN)) / (s.st.RawMax - s.st.RawMin)
 	}
-	if s.fN > 0 {
-		rep.ForecastRMSE = math.Sqrt(s.fSqErr / float64(s.fN))
-		if s.rawMax > s.rawMin {
-			rep.ForecastNRMSE = rep.ForecastRMSE / (s.rawMax - s.rawMin)
+	if s.st.FN > 0 {
+		rep.ForecastRMSE = math.Sqrt(s.st.FSqErr / float64(s.st.FN))
+		if s.st.RawMax > s.st.RawMin {
+			rep.ForecastNRMSE = rep.ForecastRMSE / (s.st.RawMax - s.st.RawMin)
 		}
-		rep.ForecastPoints = s.fN
+		rep.ForecastPoints = s.st.FN
 	}
-	if s.driftPos >= 0 && s.driftDetectedAt >= 0 {
-		rep.DriftDelay = s.driftDetectedAt - s.driftPos
+	if s.driftPos >= 0 && s.st.DriftDetectedAt >= 0 {
+		rep.DriftDelay = s.st.DriftDetectedAt - s.driftPos
 	}
 	// Anomaly scoring vs injected truth.
 	var truth []int
@@ -779,8 +750,8 @@ func (s *Session) report() *SessionReport {
 			rep.TruthSpikes = append(rep.TruthSpikes, int64(p))
 		}
 	}
-	det := make([]int, len(s.detected))
-	for i, g := range s.detected {
+	det := make([]int, len(s.st.Detected))
+	for i, g := range s.st.Detected {
 		det[i] = int(g)
 	}
 	tol := s.opts.Tolerance
@@ -793,39 +764,9 @@ func (s *Session) report() *SessionReport {
 
 // checkpoint writes the full session state to the store.
 func (s *Session) checkpoint(store *cellstore.Store) error {
-	st := sessionState{
-		Tick:            s.tick,
-		Total:           s.total,
-		Events:          s.events,
-		Drift:           s.drift.State(),
-		Shift:           s.shift.State(),
-		Anom:            s.anom.State(),
-		Recon:           s.recon.State(),
-		ScalerMean:      s.scaler.Mean,
-		ScalerStd:       s.scaler.Std,
-		ScalerFitted:    s.scaler.Fitted(),
-		Sigma:           s.sigma,
-		SigmaSet:        s.sigmaSet,
-		Warmup:          s.warmupBuf,
-		ModelTrained:    s.modelTrained,
-		LastUpdate:      s.lastUpdate,
-		LastForecast:    s.lastForecast,
-		FitTrain:        s.fitTrain,
-		FitVal:          s.fitVal,
-		Pending:         s.pending,
-		RawBytes:        s.rawBytes,
-		CompBytes:       s.compBytes,
-		SqErr:           s.sqErr,
-		ErrN:            s.errN,
-		RawMin:          s.rawMin,
-		RawMax:          s.rawMax,
-		FSqErr:          s.fSqErr,
-		FN:              s.fN,
-		Detected:        s.detected,
-		DriftDetectedAt: s.driftDetectedAt,
-		FalseAlerts:     s.falseAlerts,
-		IndicatorAlerts: s.indicatorAlerts,
-	}
+	st := s.st
+	st.Drift, st.Shift, st.Anom, st.Recon = s.drift.State(), s.shift.State(), s.anom.State(), s.recon.State()
+	st.ScalerMean, st.ScalerStd, st.ScalerFitted = s.scaler.Mean, s.scaler.Std, s.scaler.Fitted()
 	// ±Inf cannot cross JSON; the range accumulator is empty only before
 	// the first chunk.
 	if math.IsInf(st.RawMin, 0) {
@@ -834,7 +775,8 @@ func (s *Session) checkpoint(store *cellstore.Store) error {
 			return fmt.Errorf("core: non-finite range with %d scored points", st.ErrN)
 		}
 	}
-	if sn, ok := s.model.(forecast.Snapshotter); ok && s.modelTrained {
+	st.Model = nil
+	if sn, ok := s.model.(forecast.Snapshotter); ok && st.ModelTrained {
 		ms := sn.StateSnapshot()
 		st.Model = &ms
 	}
@@ -868,9 +810,6 @@ func (s *Session) restore(store *cellstore.Store) error {
 	if s.recon, err = timeseries.RingFromState(st.Recon); err != nil {
 		return err
 	}
-	s.tick = st.Tick
-	s.total = st.Total
-	s.events = st.Events
 	s.scaler = timeseries.StandardScaler{Mean: st.ScalerMean, Std: st.ScalerStd}
 	if st.ScalerFitted {
 		// Re-fit on a singleton to set the unexported fitted flag, then
@@ -878,26 +817,6 @@ func (s *Session) restore(store *cellstore.Store) error {
 		_ = s.scaler.Fit([]float64{0})
 		s.scaler.Mean, s.scaler.Std = st.ScalerMean, st.ScalerStd
 	}
-	s.sigma = st.Sigma
-	s.sigmaSet = st.SigmaSet
-	s.warmupBuf = st.Warmup
-	s.modelTrained = st.ModelTrained
-	s.lastUpdate = st.LastUpdate
-	s.lastForecast = st.LastForecast
-	s.fitTrain = st.FitTrain
-	s.fitVal = st.FitVal
-	s.pending = st.Pending
-	s.rawBytes, s.compBytes = st.RawBytes, st.CompBytes
-	s.sqErr, s.errN = st.SqErr, st.ErrN
-	s.rawMin, s.rawMax = st.RawMin, st.RawMax
-	if s.errN == 0 {
-		s.rawMin, s.rawMax = math.Inf(1), math.Inf(-1)
-	}
-	s.fSqErr, s.fN = st.FSqErr, st.FN
-	s.detected = st.Detected
-	s.driftDetectedAt = st.DriftDetectedAt
-	s.falseAlerts = st.FalseAlerts
-	s.indicatorAlerts = st.IndicatorAlerts
 	if s.model != nil && st.ModelTrained {
 		if sn, ok := s.model.(forecast.Snapshotter); ok {
 			if st.Model == nil {
@@ -914,5 +833,9 @@ func (s *Session) restore(store *cellstore.Store) error {
 			}
 		}
 	}
+	if st.ErrN == 0 {
+		st.RawMin, st.RawMax = math.Inf(1), math.Inf(-1)
+	}
+	s.st = st
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,10 +18,7 @@ import (
 
 // RunContext bundles everything one grid run shares across its stages and
 // worker goroutines: the cancellation context, the resolved options, the
-// timing accumulator, and the stage pipeline. It replaces the ad-hoc
-// (opts, acc) parameter pairs the harness used to thread through every
-// call, and is the single place future run-scoped state (metrics sinks,
-// retry budgets, streaming ingestors) attaches.
+// timing accumulator, and the stage pipeline.
 type RunContext struct {
 	ctx      context.Context
 	opts     Options
@@ -72,7 +68,7 @@ const (
 )
 
 // StageCheckpoint persists a finished dataset's records to the run's
-// result store. RunGridContext inserts it after StageAnalyze only when a
+// result store. RunGridContext appends it after StageAnalyze only when a
 // store is configured, so store-less pipelines keep the exact stage list
 // the timing tests and reports assert.
 const StageCheckpoint = "checkpoint"
@@ -86,9 +82,8 @@ type Stage struct {
 	Run  func(rc *RunContext, st *pipelineState) error
 }
 
-// Pipeline is an ordered stage graph. DefaultPipeline is Algorithm 1;
-// InsertAfter slots further stages in (the result store's checkpoint)
-// without re-plumbing the harness.
+// Pipeline is an ordered stage graph. DefaultPipeline is Algorithm 1; a
+// run with a result store appends the checkpoint stage to it.
 type Pipeline struct {
 	stages []Stage
 }
@@ -118,31 +113,6 @@ func (p *Pipeline) StageNames() []string {
 		out[i] = s.Name
 	}
 	return out
-}
-
-func (p *Pipeline) index(name string) int {
-	for i, s := range p.stages {
-		if s.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// InsertAfter adds s immediately after the named stage.
-func (p *Pipeline) InsertAfter(name string, s Stage) error {
-	i := p.index(name)
-	if i < 0 {
-		return fmt.Errorf("core: pipeline has no stage %q", name)
-	}
-	if s.Name == "" || s.Run == nil {
-		return fmt.Errorf("core: stage needs a name and a Run function")
-	}
-	if p.index(s.Name) >= 0 {
-		return fmt.Errorf("core: pipeline already has a stage %q", s.Name)
-	}
-	p.stages = slices.Insert(p.stages, i+1, s)
-	return nil
 }
 
 // run executes the stages in order for one dataset, checking cancellation

@@ -169,7 +169,7 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) error 
 	if err != nil {
 		return err
 	}
-	body, err := readRaw(r.Body, discard{})
+	body, err := readRaw(r.Body)
 	if err != nil {
 		return err
 	}
@@ -210,11 +210,6 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) error 
 	}
 	return bw.Flush()
 }
-
-// discard is io.Discard without the io import gymnastics for a hash slot.
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
 // metricsJSON renders stats.Metrics with stable lowercase keys.
 type metricsJSON struct {

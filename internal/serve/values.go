@@ -79,9 +79,9 @@ func readValues(ctx context.Context, r io.Reader, h io.Writer, chunkSize int) ([
 	return values, nil
 }
 
-// readRaw reads a binary body (compressed payloads) fully, feeding h.
-func readRaw(r io.Reader, h io.Writer) ([]byte, error) {
-	body, err := io.ReadAll(io.TeeReader(r, h))
+// readRaw reads a binary body (compressed payloads) fully.
+func readRaw(r io.Reader) ([]byte, error) {
+	body, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +116,7 @@ func chunksOf(ctx context.Context, values []float64, start, interval int64, chun
 }
 
 // requestHash accumulates the cache key of a request: every parameter that
-// changes the response, then the body bytes (via readValues/readRaw's tee).
+// changes the response, then the body bytes (via readValues' tee).
 type requestHash struct {
 	h interface {
 		io.Writer

@@ -10,7 +10,6 @@ import (
 	"lossyts/internal/datasets"
 	"lossyts/internal/features"
 	"lossyts/internal/forecast"
-	"lossyts/internal/impact"
 	"lossyts/internal/serve"
 	"lossyts/internal/stats"
 	"lossyts/internal/timeseries"
@@ -110,19 +109,6 @@ func Ratio(s *Series, c *Compressed) (float64, error) { return compress.Ratio(s,
 // RawGzipSize returns the gzipped size of the raw CSV encoding of s.
 func RawGzipSize(s *Series) (int, error) { return compress.RawGzipSize(s) }
 
-// FrameResult aggregates per-column compression of a multivariate frame.
-type FrameResult = compress.FrameResult
-
-// CompressFrame compresses every column of a frame with one method/bound.
-func CompressFrame(m Method, f *Frame, epsilon float64) (*FrameResult, error) {
-	return compress.CompressFrame(m, f, epsilon)
-}
-
-// DecompressFrame reconstructs a frame compressed with CompressFrame.
-func DecompressFrame(r *FrameResult, template *Frame) (*Frame, error) {
-	return compress.DecompressFrame(r, template)
-}
-
 // Streaming data plane: encode and decode chunk by chunk with bounded
 // memory. Streamed payloads are byte-identical to batch compression —
 // batch Compress drives the same incremental kernels — so ratios, error
@@ -213,8 +199,10 @@ func NewModel(name string, cfg ForecastConfig) (Model, error) { return forecast.
 func DefaultForecastConfig() ForecastConfig { return forecast.DefaultConfig() }
 
 // ModelRegistration declares an externally implemented forecasting model:
-// its name, constructor, and whether it trains like a deep model (deep
-// models get EvalOptions.DeepSeeds repetitions instead of ShallowSeeds).
+// its name, constructor, whether it trains like a deep model (deep models
+// get EvalOptions.DeepSeeds repetitions instead of ShallowSeeds), and
+// whether online sessions accept it (Incremental; its models must then
+// implement IncrementalModel, which NewSession checks).
 type ModelRegistration = forecast.Registration
 
 // UnknownModelError reports a model name no registration matches.
@@ -227,15 +215,6 @@ func RegisterModel(r ModelRegistration) { forecast.Register(r) }
 
 // RegisteredModels lists every registered model name, sorted.
 func RegisteredModels() []string { return forecast.Registered() }
-
-// SearchSpace defines the hyperparameter grid of the paper's §3.4 search.
-type SearchSpace = forecast.SearchSpace
-
-// SearchHyperparameters runs the paper's validation-subset grid search and
-// returns the best configuration plus the full evaluation trace.
-func SearchHyperparameters(model string, base ForecastConfig, space SearchSpace, train, val []float64) (ForecastConfig, []forecast.SearchResult, error) {
-	return forecast.SearchHyperparameters(model, base, space, train, val)
-}
 
 // Datasets API.
 
@@ -389,26 +368,6 @@ func SaveGrid(g *GridResult, path string) error { return core.SaveGrid(g, path) 
 // Provenance says where its cells came from.
 func LoadGrid(path string) (*GridResult, error) { return core.LoadGrid(path) }
 
-// Distributed work plane: the grid as a partitionable job. Workers share
-// nothing but the filesystem — each runs one deterministic slice of the
-// cell space against its own journal, and the journals merge into one
-// canonical store byte-for-byte interchangeable with a single-process run's
-// (cmd/gridstore merges and inspects stores).
-//
-// GridWorkerSummary is a partition run's machine-readable provenance: cells
-// owned, stolen, computed, and loaded, plus wall clock.
-type GridWorkerSummary = core.WorkerSummary
-
-// RunGridPartition evaluates partition index of workers (0-based) of the
-// grid opts describes, checkpointing into opts.Store (the worker's own
-// journal; required). When peers lists sibling journals, the worker makes
-// one steal pass after its slice drains, computing whatever no peer has
-// claimed or checkpointed. Partitioning is deterministic: every process
-// enumerating the same options computes the same split.
-func RunGridPartition(opts EvalOptions, workers, index int, peers []string) (GridWorkerSummary, error) {
-	return core.RunGridPartition(opts, workers, index, peers)
-}
-
 // Recommendation is a concrete compression operating point.
 type Recommendation = core.Recommendation
 
@@ -416,28 +375,6 @@ type Recommendation = core.Recommendation
 // mean TFE stays within maxTFE on the evaluated grid.
 func Recommend(g *GridResult, dataset string, maxTFE float64, models []string) (Recommendation, error) {
 	return core.Recommend(g, dataset, maxTFE, models)
-}
-
-// Impact prediction (the §5 research direction: predict TFE from
-// compression characteristics without running a forecaster).
-type (
-	// ImpactObservation is one (compression outcome, TFE) instance.
-	ImpactObservation = impact.Observation
-	// ImpactPredictor predicts TFE from compression characteristics and
-	// explains predictions with exact TreeSHAP.
-	ImpactPredictor = impact.Predictor
-)
-
-// TrainImpactPredictor fits a TFE predictor on observations, e.g. those
-// returned by ImpactObservationsFromGrid.
-func TrainImpactPredictor(obs []ImpactObservation) (*ImpactPredictor, error) {
-	return impact.Train(obs)
-}
-
-// ImpactObservationsFromGrid converts a completed evaluation grid into
-// impact-predictor training data.
-func ImpactObservationsFromGrid(g *GridResult) ([]ImpactObservation, error) {
-	return impact.ObservationsFromGrid(g)
 }
 
 // Anomaly detection (the §5 "other analytics" direction).
@@ -491,15 +428,6 @@ func NewSession(opts SessionOptions) (*Session, error) { return core.NewSession(
 // result is identical at every setting.
 func MonitorSweep(ctx context.Context, opts SessionOptions, methods []Method, bounds []float64, parallelism int) (*MonitorBenchResult, error) {
 	return core.MonitorSweep(ctx, opts, methods, bounds, parallelism)
-}
-
-// RegisterIncrementalModel is RegisterModel for models implementing
-// IncrementalModel: it flags the registration so online sessions accept the
-// model. Constructed models must actually implement IncrementalModel —
-// NewSession checks at session construction.
-func RegisterIncrementalModel(r ModelRegistration) {
-	r.Incremental = true
-	forecast.Register(r)
 }
 
 // IsIncrementalModel reports whether a registered model supports online
