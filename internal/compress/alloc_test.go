@@ -3,6 +3,7 @@ package compress
 import (
 	"encoding/json"
 	"os"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -142,6 +143,39 @@ func TestRawGzipSizeAllocs(t *testing.T) {
 	op() // warm the writer pool
 	if allocs := testing.AllocsPerRun(20, op); allocs > 4 {
 		t.Fatalf("RawGzipSize: %v allocs/op, want at most 4", allocs)
+	}
+}
+
+// TestHuffmanScratchSurvivesGC pins the Huffman coder's scratch free list:
+// a garbage collection between two coding passes must not cost a fresh set
+// of symbol tables, as it did while the scratch lived in a sync.Pool. The
+// stream spans the whole 16-bit alphabet, so fresh tables would be 1.4 MB.
+func TestHuffmanScratchSurvivesGC(t *testing.T) {
+	symbols := make([]uint16, 4096)
+	for i := range symbols {
+		symbols[i] = uint16(i*i) % 37
+	}
+	symbols[0], symbols[1] = 0, 65535
+	payload, err := HuffmanEncode(symbols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, 0, 2*len(payload))
+	const passes = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < passes; i++ {
+		runtime.GC()
+		if _, err := AppendHuffman(dst[:0], symbols); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := HuffmanDecode(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / passes; per > 256<<10 {
+		t.Fatalf("encode+decode after a GC allocated %d B, want at most 256 KiB (fresh tables are 1.4 MB)", per)
 	}
 }
 

@@ -1,7 +1,10 @@
 package compress
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -91,6 +94,45 @@ func TestHuffmanRoundTrip(t *testing.T) {
 			t.Fatalf("symbol %d = %d, want %d", i, dec[i], syms[i])
 		}
 	}
+}
+
+// TestHuffmanConcurrentRoundTrip runs more coders at once than the scratch
+// free list holds, so scratch objects are taken, dropped and reused across
+// goroutines; every payload must equal its serial encoding and decode back.
+func TestHuffmanConcurrentRoundTrip(t *testing.T) {
+	streams := make([][]uint16, 12)
+	want := make([][]byte, len(streams))
+	for i := range streams {
+		rng := rand.New(rand.NewSource(int64(i)))
+		streams[i] = make([]uint16, 500+100*i)
+		for j := range streams[i] {
+			streams[i][j] = uint16(rng.Intn(3 + 40*i))
+		}
+		var err error
+		if want[i], err = HuffmanEncode(streams[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for i := range streams {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for range 20 {
+				enc, err := HuffmanEncode(streams[i])
+				if err != nil || !bytes.Equal(enc, want[i]) {
+					t.Errorf("stream %d: concurrent encoding differs from serial (err %v)", i, err)
+					return
+				}
+				dec, err := HuffmanDecode(enc)
+				if err != nil || !slices.Equal(dec, streams[i]) {
+					t.Errorf("stream %d: concurrent round trip failed (err %v)", i, err)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
 }
 
 func TestHuffmanSingleSymbol(t *testing.T) {

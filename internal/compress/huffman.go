@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
-	"sync"
 )
 
 // The Huffman coder runs once per SZ payload over the whole quantisation
@@ -29,8 +29,6 @@ import (
 // and callers fall back to raw symbol storage.
 const maxHuffmanCodeLen = 56
 
-const huffSymbols = 1 << 16
-
 // huffNode is one node of the code tree, held in a flat arena and linked by
 // index; left < 0 marks a leaf.
 type huffNode struct {
@@ -40,10 +38,14 @@ type huffNode struct {
 }
 
 // huffScratch is the pooled working state shared by encode and decode. The
-// dense per-symbol tables are allocated once per scratch (4 MB total) and
-// cleaned sparsely — only the entries named by present are touched — so a
-// small alphabet pays for its own symbols, not for 65536.
+// dense per-symbol tables cover the symbol range of the stream in hand,
+// indexed by symbol minus base: quantisation codes cluster around the code
+// radius, so a scratch is a few kilobytes rather than 21 bytes for each of
+// 65536 symbols. The tables grow when a wider range arrives and are cleaned
+// sparsely — only the entries named by present are touched — so a small
+// alphabet pays for its own symbols.
 type huffScratch struct {
+	base    uint16   // the symbol at index 0 of the dense tables
 	freq    []uint64 // per-symbol frequency (encode)
 	lens    []uint8  // per-symbol code length
 	codes   []uint64 // per-symbol canonical code (encode)
@@ -63,23 +65,43 @@ type huffScratch struct {
 	bw     BitWriter
 }
 
-var huffPool = sync.Pool{New: func() any {
-	return &huffScratch{
-		freq:  make([]uint64, huffSymbols),
-		lens:  make([]uint8, huffSymbols),
-		codes: make([]uint64, huffSymbols),
-		marks: make([]uint32, huffSymbols),
+// huffFree holds idle scratch objects. A Huffman pass runs once per SZ
+// payload, rarely enough that a sync.Pool is usually emptied by a garbage
+// collection between two uses; this free list is never emptied. Its
+// capacity caps what a burst of concurrent coders leaves retained: a
+// scratch returned to a full list is dropped.
+var huffFree = make(chan *huffScratch, 4)
+
+// getHuffScratch takes an idle scratch object, or makes one, with dense
+// tables covering the symbols lo..hi.
+func getHuffScratch(lo, hi uint16) *huffScratch {
+	var h *huffScratch
+	select {
+	case h = <-huffFree:
+	default:
+		h = &huffScratch{}
 	}
-}}
+	if n := int(hi-lo) + 1; len(h.lens) < n {
+		// Cleaned tables hold only zeros and stale epochs, so nothing
+		// carries over into the larger ones.
+		h.freq = make([]uint64, n)
+		h.lens = make([]uint8, n)
+		h.codes = make([]uint64, n)
+		h.marks = make([]uint32, n)
+	}
+	h.base = lo
+	return h
+}
 
 // clean re-zeroes the sparse entries this use touched and returns the
-// scratch to the pool.
+// scratch to the free list, or drops it when the list is full.
 func (h *huffScratch) clean() {
 	for _, s := range h.present {
-		l := h.lens[s]
+		i := s - h.base
+		l := h.lens[i]
 		h.count[l], h.first[l], h.offset[l] = 0, 0, 0
-		h.freq[s] = 0
-		h.lens[s] = 0
+		h.freq[i] = 0
+		h.lens[i] = 0
 	}
 	h.present = h.present[:0]
 	h.order = h.order[:0]
@@ -88,7 +110,10 @@ func (h *huffScratch) clean() {
 	h.stack = h.stack[:0]
 	h.depth = h.depth[:0]
 	h.bw.Reset()
-	huffPool.Put(h)
+	select {
+	case huffFree <- h:
+	default:
+	}
 }
 
 // heap helpers: a plain binary min-heap of node-arena indexes ordered by
@@ -148,11 +173,11 @@ func (h *huffScratch) heapPush(v int32) {
 // and non-empty) from the frequencies in freq.
 func (h *huffScratch) buildLengths() error {
 	if len(h.present) == 1 {
-		h.lens[h.present[0]] = 1
+		h.lens[h.present[0]-h.base] = 1
 		return nil
 	}
 	for _, s := range h.present {
-		h.nodes = append(h.nodes, huffNode{freq: h.freq[s], sym: s, left: -1})
+		h.nodes = append(h.nodes, huffNode{freq: h.freq[s-h.base], sym: s, left: -1})
 		h.heap = append(h.heap, int32(len(h.nodes)-1))
 	}
 	for i := len(h.heap)/2 - 1; i >= 0; i-- {
@@ -183,7 +208,7 @@ func (h *huffScratch) buildLengths() error {
 			if d == 0 {
 				d = 1
 			}
-			h.lens[node.sym] = uint8(d)
+			h.lens[node.sym-h.base] = uint8(d)
 			continue
 		}
 		h.stack = append(h.stack, node.left, node.right)
@@ -198,7 +223,7 @@ func (h *huffScratch) buildLengths() error {
 // entries. It also fills the per-length count/first/offset decode tables.
 func (h *huffScratch) assignCanonical() {
 	for _, s := range h.present {
-		h.count[h.lens[s]]++
+		h.count[h.lens[s-h.base]]++
 	}
 	var starts [256]uint32
 	var acc uint32
@@ -209,19 +234,19 @@ func (h *huffScratch) assignCanonical() {
 	}
 	h.order = slices.Grow(h.order[:0], len(h.present))[:len(h.present)]
 	for _, s := range h.present {
-		l := h.lens[s]
+		l := h.lens[s-h.base]
 		h.order[starts[l]] = s
 		starts[l]++
 	}
 	var code uint64
 	var prevLen uint8
 	for i, s := range h.order {
-		l := h.lens[s]
+		l := h.lens[s-h.base]
 		code <<= uint(l - prevLen)
 		if l > prevLen || i == 0 {
 			h.first[l] = code
 		}
-		h.codes[s] = code
+		h.codes[s-h.base] = code
 		code++
 		prevLen = l
 	}
@@ -236,13 +261,14 @@ func AppendHuffman(dst []byte, symbols []uint16) ([]byte, error) {
 	if len(symbols) == 0 {
 		return dst, errors.New("compress: huffman with empty alphabet")
 	}
-	h := huffPool.Get().(*huffScratch)
+	lo, hi := slices.Min(symbols), slices.Max(symbols)
+	h := getHuffScratch(lo, hi)
 	defer h.clean()
 	for _, s := range symbols {
-		if h.freq[s] == 0 {
+		if h.freq[s-lo] == 0 {
 			h.present = append(h.present, s)
 		}
-		h.freq[s]++
+		h.freq[s-lo]++
 	}
 	slices.Sort(h.present)
 	if err := h.buildLengths(); err != nil {
@@ -257,11 +283,11 @@ func AppendHuffman(dst []byte, symbols []uint16) ([]byte, error) {
 	dst = append(dst, scratch[:4]...)
 	for _, s := range h.present {
 		binary.LittleEndian.PutUint16(scratch[:2], s)
-		dst = append(dst, scratch[0], scratch[1], h.lens[s])
+		dst = append(dst, scratch[0], scratch[1], h.lens[s-lo])
 	}
 	h.bw.initPooled(len(symbols))
 	for _, s := range symbols {
-		h.bw.WriteBits(h.codes[s], uint(h.lens[s]))
+		h.bw.WriteBits(h.codes[s-lo], uint(h.lens[s-lo]))
 	}
 	dst = append(dst, h.bw.Bytes()...)
 	h.bw.release()
@@ -285,28 +311,33 @@ func HuffmanDecode(data []byte) ([]uint16, error) {
 	}
 	n := binary.LittleEndian.Uint32(data[:4])
 	nsym := binary.LittleEndian.Uint32(data[4:8])
-	pos := 8
-	h := huffPool.Get().(*huffScratch)
+	if nsym == 0 {
+		return nil, errors.New("compress: invalid huffman stream")
+	}
+	if uint64(len(data)-8)/3 < uint64(nsym) {
+		return nil, io.ErrUnexpectedEOF
+	}
+	table := data[8 : 8+3*int(nsym)]
+	lo, hi := uint16(math.MaxUint16), uint16(0)
+	for pos := 0; pos < len(table); pos += 3 {
+		s := binary.LittleEndian.Uint16(table[pos : pos+2])
+		lo, hi = min(lo, s), max(hi, s)
+	}
+	h := getHuffScratch(lo, hi)
 	defer h.clean()
 	h.epoch++
-	for i := uint32(0); i < nsym; i++ {
-		if pos+3 > len(data) {
-			return nil, io.ErrUnexpectedEOF
+	for pos := 0; pos < len(table); pos += 3 {
+		i := binary.LittleEndian.Uint16(table[pos:pos+2]) - lo
+		if h.marks[i] != h.epoch {
+			h.marks[i] = h.epoch
+			h.present = append(h.present, i+lo)
 		}
-		s := binary.LittleEndian.Uint16(data[pos : pos+2])
-		if h.marks[s] != h.epoch {
-			h.marks[s] = h.epoch
-			h.present = append(h.present, s)
-		}
-		h.lens[s] = data[pos+2] // duplicate table entries: last one wins
-		pos += 3
-	}
-	if len(h.present) == 0 {
-		return nil, errors.New("compress: invalid huffman stream")
+		h.lens[i] = table[pos+2] // duplicate table entries: last one wins
 	}
 	slices.Sort(h.present)
 	h.assignCanonical()
-	maxLen := h.lens[h.order[len(h.order)-1]]
+	maxLen := h.lens[h.order[len(h.order)-1]-lo]
+	pos := len(table) + 8
 
 	br := BitReader{buf: data[pos:]}
 	out := make([]uint16, 0, allocHint(int(n)))

@@ -124,17 +124,19 @@ func SeasonalDiff(x []float64, m int) []float64 {
 }
 
 // demean returns x minus its mean.
-func demean(x []float64) []float64 {
+func demean(x []float64) []float64 { return demeanInto(make([]float64, len(x)), x) }
+
+// demeanInto writes x minus its mean to d (of len(x)) and returns d.
+func demeanInto(d, x []float64) []float64 {
 	var mean float64
 	for _, v := range x {
 		mean += v
 	}
 	mean /= float64(len(x))
-	out := make([]float64, len(x))
 	for i, v := range x {
-		out[i] = v - mean
+		d[i] = v - mean
 	}
-	return out
+	return d
 }
 
 func variance(x []float64) float64 {

@@ -2,6 +2,7 @@ package features
 
 import (
 	"math"
+	"sync"
 )
 
 // ShiftResult holds the maximum shift between consecutive rolling windows
@@ -107,6 +108,16 @@ func rollShiftRef(x []float64, w int, varMode bool) ShiftResult {
 // For efficiency the window slides in steps of max(1, w/8) rather than 1;
 // the maximum over this subsampled set converges to the full-scan maximum
 // for the smooth density sequences time series produce.
+//
+// The kernel term exp(-0.5·((g-v)/bw)²) depends only on the grid point g
+// and the sample v, not on the window, so it is tabulated once per grid
+// point as a kernel row over every sample any window covers. Each distinct
+// window (the step-grid starts s and their partners s+w) then sums its
+// slice of that row left to right, exactly the additions a per-window
+// evaluation makes, so every density, KL value and maximum is the same
+// bits as evaluating each window from scratch — with one exp per (grid
+// point, sample) instead of one per (grid point, sample, covering window).
+// The row and the window × grid density table come from a pool.
 func KLShift(x []float64, w int) ShiftResult {
 	n := len(x)
 	if w < 2 || n < 2*w {
@@ -124,13 +135,15 @@ func KLShift(x []float64, w int) ShiftResult {
 	if hi == lo {
 		return ShiftResult{}
 	}
-	const gridN = 100
-	grid := make([]float64, gridN)
+	sc := klPool.Get().(*klScratch)
+	defer klPool.Put(sc)
+	grid := grow(&sc.grid, klGridN)
 	for i := range grid {
-		grid[i] = lo + (hi-lo)*float64(i)/float64(gridN-1)
+		grid[i] = lo + (hi-lo)*float64(i)/float64(klGridN-1)
 	}
-	// Silverman bandwidth on the full series.
-	sd := math.Sqrt(variance(x))
+	// Silverman bandwidth on the full series: variance(x), demeaned into
+	// the row scratch instead of a fresh slice.
+	sd := math.Sqrt(SumSq(demeanInto(grow(&sc.row, n), x)) / float64(n-1))
 	if sd == 0 {
 		return ShiftResult{}
 	}
@@ -140,25 +153,62 @@ func KLShift(x []float64, w int) ShiftResult {
 	if step < 1 {
 		step = 1
 	}
-	starts := make([]int, 0, n/step)
-	for s := 0; s+2*w <= n; s += step {
-		starts = append(starts, s)
+	// Pair k compares the windows starting at k·step and k·step+w. When w
+	// is a multiple of step the partner is itself a step-grid window (index
+	// k+w/step); otherwise the partners form a second block after the K
+	// step-grid windows.
+	pairs := (n-2*w)/step + 1
+	nwin, partner := 2*pairs, pairs
+	if w%step == 0 {
+		nwin, partner = pairs+w/step, w/step
 	}
-	if len(starts) == 0 {
-		return ShiftResult{}
-	}
-	dens := func(window []float64) []float64 {
-		d := make([]float64, gridN)
-		inv := 1 / (bw * math.Sqrt(2*math.Pi) * float64(len(window)))
-		for gi, g := range grid {
-			var s float64
-			for _, v := range window {
-				z := (g - v) / bw
-				s += math.Exp(-0.5 * z * z)
-			}
-			d[gi] = s*inv + 1e-12
+	start := func(k int) int {
+		if k < pairs || w%step == 0 {
+			return k * step
 		}
-		// Normalise to a discrete distribution over the grid.
+		return (k-pairs)*step + w
+	}
+	m := (pairs-1)*step + 2*w // samples covered by any window
+	row := grow(&sc.row, m)
+	dens := grow(&sc.dens, nwin*klGridN)
+	inv := 1 / (bw * math.Sqrt(2*math.Pi) * float64(w))
+	for gi, g := range grid {
+		for j, v := range x[:m] {
+			z := (g - v) / bw
+			row[j] = math.Exp(-0.5 * z * z)
+		}
+		// Four windows at a time, each with its own left-to-right sum, so
+		// the four add chains overlap.
+		k := 0
+		for ; k+4 <= nwin; k += 4 {
+			r0 := row[start(k) : start(k)+w]
+			r1 := row[start(k+1):][:len(r0)]
+			r2 := row[start(k+2):][:len(r0)]
+			r3 := row[start(k+3):][:len(r0)]
+			var s0, s1, s2, s3 float64
+			for j, e := range r0 {
+				s0 += e
+				s1 += r1[j]
+				s2 += r2[j]
+				s3 += r3[j]
+			}
+			dens[k*klGridN+gi] = s0*inv + 1e-12
+			dens[(k+1)*klGridN+gi] = s1*inv + 1e-12
+			dens[(k+2)*klGridN+gi] = s2*inv + 1e-12
+			dens[(k+3)*klGridN+gi] = s3*inv + 1e-12
+		}
+		for ; k < nwin; k++ {
+			var s float64
+			for _, e := range row[start(k) : start(k)+w] {
+				s += e
+			}
+			dens[k*klGridN+gi] = s*inv + 1e-12
+		}
+	}
+	// Normalise each window's density to a discrete distribution over the
+	// grid.
+	for k := 0; k < nwin; k++ {
+		d := dens[k*klGridN : (k+1)*klGridN]
 		var tot float64
 		for _, v := range d {
 			tot += v
@@ -166,31 +216,41 @@ func KLShift(x []float64, w int) ShiftResult {
 		for i := range d {
 			d[i] /= tot
 		}
-		return d
 	}
 	res := ShiftResult{Max: -1}
-	cache := map[int][]float64{}
-	densityAt := func(s int) []float64 {
-		if d, ok := cache[s]; ok {
-			return d
-		}
-		d := dens(x[s : s+w])
-		cache[s] = d
-		return d
-	}
-	for _, s := range starts {
-		p := densityAt(s)
-		q := densityAt(s + w)
+	for k := 0; k < pairs; k++ {
+		p := dens[k*klGridN : (k+1)*klGridN]
+		q := dens[(k+partner)*klGridN : (k+partner+1)*klGridN]
 		var kl float64
 		for i := range p {
 			kl += p[i] * math.Log(p[i]/q[i])
 		}
 		if kl > res.Max {
-			res.Max, res.Time = kl, s+w
+			res.Max, res.Time = kl, k*step+w
 		}
 	}
 	if res.Max < 0 {
 		res.Max = 0
 	}
 	return res
+}
+
+// klGridN is the number of grid points KLShift evaluates densities on.
+const klGridN = 100
+
+// klScratch holds one KLShift call's working memory: the density grid, the
+// kernel row (also the demeaned series while the bandwidth is computed) and
+// the window × grid density table.
+type klScratch struct {
+	grid, row, dens []float64
+}
+
+var klPool = sync.Pool{New: func() any { return new(klScratch) }}
+
+// grow returns (*buf)[:n], reallocating *buf first when it is too small.
+func grow(buf *[]float64, n int) []float64 {
+	if cap(*buf) < n {
+		*buf = make([]float64, n)
+	}
+	return (*buf)[:n]
 }

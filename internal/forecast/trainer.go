@@ -79,8 +79,8 @@ func trainNeural(ctx context.Context, net network, cfg Config, rng *rand.Rand, t
 				end = len(order)
 			}
 			batch := order[start:end]
-			x := nn.Zeros(len(batch), cfg.InputLen).InArena(arena)
-			y := nn.Zeros(len(batch), cfg.Horizon)
+			x := arena.Zeros(len(batch), cfg.InputLen)
+			y := arena.Zeros(len(batch), cfg.Horizon)
 			for bi, wi := range batch {
 				copy(x.Data[bi*cfg.InputLen:(bi+1)*cfg.InputLen], tw.Windows[wi].Input)
 				copy(y.Data[bi*cfg.Horizon:(bi+1)*cfg.Horizon], tw.Windows[wi].Target)
@@ -101,7 +101,7 @@ func trainNeural(ctx context.Context, net network, cfg Config, rng *rand.Rand, t
 		v := evalMSE(net, cfg, valIn, valTgt, arena)
 		if v < bestVal-1e-9 {
 			bestVal = v
-			best = snapshot(params)
+			best = snapshotInto(best, params)
 			stall = 0
 		} else {
 			stall++
@@ -151,7 +151,7 @@ func predictInArena(net network, cfg Config, inputs [][]float64, arena *nn.Arena
 			end = len(inputs)
 		}
 		batch := inputs[start:end]
-		x := nn.Zeros(len(batch), cfg.InputLen).InArena(arena)
+		x := arena.Zeros(len(batch), cfg.InputLen)
 		for bi, w := range batch {
 			copy(x.Data[bi*cfg.InputLen:(bi+1)*cfg.InputLen], w)
 		}
@@ -168,12 +168,18 @@ func predictInArena(net network, cfg Config, inputs [][]float64, arena *nn.Arena
 	return out
 }
 
-func snapshot(params []*nn.Tensor) [][]float64 {
-	out := make([][]float64, len(params))
-	for i, p := range params {
-		out[i] = append([]float64(nil), p.Data...)
+func snapshot(params []*nn.Tensor) [][]float64 { return snapshotInto(nil, params) }
+
+// snapshotInto is snapshot reusing the buffers of an earlier snapshot of
+// the same parameters (or none, when snap is nil).
+func snapshotInto(snap [][]float64, params []*nn.Tensor) [][]float64 {
+	if snap == nil {
+		snap = make([][]float64, len(params))
 	}
-	return out
+	for i, p := range params {
+		snap[i] = append(snap[i][:0], p.Data...)
+	}
+	return snap
 }
 
 func restore(params []*nn.Tensor, snap [][]float64) {

@@ -94,6 +94,17 @@ func (a *Arena) allocUninit(n int) []float64 {
 	return (*bp)[:n]
 }
 
+// Zeros returns a zero tensor of the given shape whose buffer and node come
+// from the arena, tagged with it like InArena: an input batch that the next
+// Reset recycles together with the step's intermediates.
+func (a *Arena) Zeros(shape ...int) *Tensor {
+	t := a.node()
+	t.Shape = append(t.Shape, shape...)
+	t.Data = a.alloc(Numel(shape))
+	t.arena = a
+	return t
+}
+
 // node returns a recycled (or fresh) Tensor struct for result to fill. The
 // returned tensor keeps the Shape and parents capacity of its previous
 // life; all fields referencing old state have been cleared by Reset.

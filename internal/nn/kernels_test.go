@@ -120,6 +120,82 @@ func TestKernelsMatchGo(t *testing.T) {
 	}
 }
 
+// movingAvgRef is MovingAvg1D's forward as one clamped left-to-right sum
+// per output, and its backward as the scatter over outputs: for each i in
+// ascending order, every tap j adds g[i]/kernel to x.Grad[clamp(j)].
+func movingAvgRef(row []float64, kernel int) (fwd []float64, bwd func(xg, g []float64)) {
+	l := len(row)
+	front := (kernel - 1) / 2
+	back := kernel - 1 - front
+	clampIdx := func(j int) int { return min(max(j, 0), l-1) }
+	inv := 1 / float64(kernel)
+	fwd = make([]float64, l)
+	for i := range fwd {
+		var s float64
+		for j := i - front; j <= i+back; j++ {
+			s += row[clampIdx(j)]
+		}
+		fwd[i] = s * inv
+	}
+	return fwd, func(xg, g []float64) {
+		for i := 0; i < l; i++ {
+			gi := g[i] * inv
+			for j := i - front; j <= i+back; j++ {
+				xg[clampIdx(j)] += gi
+			}
+		}
+	}
+}
+
+// TestMovingAvgMatchesRef holds MovingAvg1D's padded four-wide forward and
+// its gather backward to the clamped loop and the scatter bit for bit, on
+// kernels from 1 to past the row length, with x.Grad starting non-zero so
+// the order of every slot's additions shows.
+func TestMovingAvgMatchesRef(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	fill := func(n int) []float64 {
+		s := make([]float64, n)
+		for i := range s {
+			if rng.Intn(4) == 0 {
+				s[i] = kernelSpecials[rng.Intn(len(kernelSpecials))]
+			} else {
+				s[i] = rng.NormFloat64()
+			}
+		}
+		return s
+	}
+	for _, l := range []int{1, 2, 3, 5, 96, 336} {
+		for _, kernel := range []int{1, 2, 3, 4, 25, l, l + 3} {
+			for _, b := range []int{1, 3} {
+				for _, arena := range []*Arena{nil, NewArena()} {
+					x := New([]int{b, l}, fill(b*l)).Param()
+					x.arena = arena
+					grad0 := fill(b * l)
+					copy(x.Grad, grad0)
+					out := MovingAvg1D(x, kernel)
+					g := fill(b * l)
+					copy(out.Grad, g)
+					out.backward(out)
+					for bi := 0; bi < b; bi++ {
+						lo, hi := bi*l, (bi+1)*l
+						fwd, bwd := movingAvgRef(x.Data[lo:hi], kernel)
+						xg := append([]float64(nil), grad0[lo:hi]...)
+						bwd(xg, g[lo:hi])
+						for i := 0; i < l; i++ {
+							if math.Float64bits(out.Data[lo+i]) != math.Float64bits(fwd[i]) {
+								t.Fatalf("l=%d kernel=%d b=%d: out[%d][%d] = %v, reference %v", l, kernel, b, bi, i, out.Data[lo+i], fwd[i])
+							}
+							if math.Float64bits(x.Grad[lo+i]) != math.Float64bits(xg[i]) {
+								t.Fatalf("l=%d kernel=%d b=%d: grad[%d][%d] = %v, reference %v", l, kernel, b, bi, i, x.Grad[lo+i], xg[i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // FuzzMatmulKernels draws shapes and operands from the fuzz input and
 // holds every AVX2 kernel to its Go form bit for bit. The first three bytes
 // pick m, k and n in [1, 40]; each later pair of bytes yields one value,

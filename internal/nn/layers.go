@@ -268,6 +268,14 @@ func (p *PositionalEncoding) Add(x *Tensor) *Tensor {
 // MovingAvg1D smooths each row of x ([B, L]) with a centred moving average
 // of the given kernel size, replicating the edge values as padding — the
 // series decomposition block of DLinear (Zeng et al. 2023).
+//
+// Every output sums its kernel taps left to right from zero, one add at a
+// time, and the backward gives each input the g[i]/kernel terms of the
+// outputs that read it in ascending i; a running-sum form would round
+// differently. The forward reads one edge-replicated padded row and the
+// backward one row of scaled gradients, and both work on four adjacent
+// outputs (inputs) per loop, each with its own add chain, so the chains
+// overlap instead of running back to back.
 func MovingAvg1D(x *Tensor, kernel int) *Tensor {
 	if kernel < 1 {
 		panic("nn: moving average kernel must be >= 1")
@@ -275,26 +283,25 @@ func MovingAvg1D(x *Tensor, kernel int) *Tensor {
 	b, l := x.Shape[0], x.Shape[1]
 	front := (kernel - 1) / 2
 	back := kernel - 1 - front
-	data := allocFrom(arenaOf(x), len(x.Data))
-	// contrib[j] collects which padded index each position maps to; padding
-	// replicates x[0] and x[l-1].
-	clampIdx := func(j int) int {
-		if j < 0 {
-			return 0
-		}
-		if j >= l {
-			return l - 1
-		}
-		return j
-	}
+	ar := arenaOf(x)
+	data := allocFromUninit(ar, len(x.Data))
+	pad := allocFromUninit(ar, l+kernel-1)
 	inv := 1 / float64(kernel)
-	for bi := 0; bi < b; bi++ {
+	for bi := 0; bi < b && l > 0; bi++ {
 		row := x.Data[bi*l : (bi+1)*l]
 		out := data[bi*l : (bi+1)*l]
-		for i := 0; i < l; i++ {
+		for t := range pad {
+			pad[t] = row[min(max(t-front, 0), l-1)]
+		}
+		i := 0
+		for ; i+4 <= l; i += 4 {
+			s0, s1, s2, s3 := sum4(pad, i, kernel, 0, 0, 0, 0)
+			out[i], out[i+1], out[i+2], out[i+3] = s0*inv, s1*inv, s2*inv, s3*inv
+		}
+		for ; i < l; i++ {
 			var s float64
-			for j := i - front; j <= i+back; j++ {
-				s += row[clampIdx(j)]
+			for _, v := range pad[i : i+kernel] {
+				s += v
 			}
 			out[i] = s * inv
 		}
@@ -303,15 +310,79 @@ func MovingAvg1D(x *Tensor, kernel int) *Tensor {
 		if !x.requiresGrad {
 			return
 		}
+		gs := allocFromUninit(out.arena, l)
 		for bi := 0; bi < b; bi++ {
 			g := out.Grad[bi*l : (bi+1)*l]
 			xg := x.Grad[bi*l : (bi+1)*l]
-			for i := 0; i < l; i++ {
-				gi := g[i] * inv
-				for j := i - front; j <= i+back; j++ {
-					xg[clampIdx(j)] += gi
-				}
+			for i, v := range g {
+				gs[i] = v * inv
 			}
+			movingAvgGather(xg, gs, front, back)
 		}
 	}, x)
+}
+
+// movingAvgGather adds to xg[j] the scaled output gradients gs[i] of every
+// output whose window reads input j, in ascending i and one add per tap:
+// the order a scatter over outputs (for i, for each tap j: xg[clamp(j)] +=
+// gs[i]) gives each slot. Output i reads padded positions i-front..i+back,
+// clamped into [0, l), so the two edge slots take one add per clamped tap.
+func movingAvgGather(xg, gs []float64, front, back int) {
+	l := len(xg)
+	if l == 1 {
+		for range front + back + 1 {
+			xg[0] += gs[0]
+		}
+		return
+	}
+	// Slot 0 collects front-i+1 taps from each output i ≤ front; slot l-1
+	// collects i+back-l+2 taps from each output i ≥ l-1-back.
+	for i := 0; i <= min(front, l-1); i++ {
+		for range front - i + 1 {
+			xg[0] += gs[i]
+		}
+	}
+	for i := max(l-1-back, 0); i < l; i++ {
+		for range i + back - l + 2 {
+			xg[l-1] += gs[i]
+		}
+	}
+	// Interior slot j collects one tap from each output in
+	// [j-back, j+front] ∩ [0, l).
+	j := 1
+	for ; j < l-1 && j-back < 0; j++ {
+		gatherOne(xg, gs, j, front, back)
+	}
+	for ; j+4 <= l-1 && j+3+front < l; j += 4 {
+		xg[j], xg[j+1], xg[j+2], xg[j+3] = sum4(gs, j-back, front+back+1, xg[j], xg[j+1], xg[j+2], xg[j+3])
+	}
+	for ; j < l-1; j++ {
+		gatherOne(xg, gs, j, front, back)
+	}
+}
+
+// sum4 adds to s0..s3, left to right, the width-long windows of r that
+// start at o, o+1, o+2 and o+3: four independent add chains, which the CPU
+// overlaps where one chain would wait on each add.
+func sum4(r []float64, o, width int, s0, s1, s2, s3 float64) (float64, float64, float64, float64) {
+	r0 := r[o:][:width]
+	r1 := r[o+1:][:width]
+	r2 := r[o+2:][:width]
+	r3 := r[o+3:][:width]
+	for t, v := range r0 {
+		s0 += v
+		s1 += r1[t]
+		s2 += r2[t]
+		s3 += r3[t]
+	}
+	return s0, s1, s2, s3
+}
+
+// gatherOne is movingAvgGather's scalar step for interior slot j.
+func gatherOne(xg, gs []float64, j, front, back int) {
+	s := xg[j]
+	for _, v := range gs[max(j-back, 0):min(j+front+1, len(gs))] {
+		s += v
+	}
+	xg[j] = s
 }
