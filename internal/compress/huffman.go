@@ -38,17 +38,16 @@ type huffNode struct {
 }
 
 // huffScratch is the pooled working state shared by encode and decode. The
-// dense per-symbol tables cover the symbol range of the stream in hand,
-// indexed by symbol minus base: quantisation codes cluster around the code
-// radius, so a scratch is a few kilobytes rather than 21 bytes for each of
-// 65536 symbols. The tables grow when a wider range arrives and are cleaned
-// sparsely — only the entries named by present are touched — so a small
-// alphabet pays for its own symbols.
+// dense per-symbol tables (13 bytes a symbol) cover the symbol range of the
+// stream in hand, indexed by symbol minus base: a narrow alphabet, such as
+// SZ's codes around the code radius on smooth data, needs a few kilobytes
+// where all 65536 symbols would take 850 KB. The tables grow when a wider
+// range arrives and are cleaned sparsely — only the entries named by
+// present are touched — so a small alphabet pays for its own symbols.
 type huffScratch struct {
 	base    uint16   // the symbol at index 0 of the dense tables
-	freq    []uint64 // per-symbol frequency (encode)
+	freq    []uint64 // per-symbol frequency, then canonical code, once lengths are built
 	lens    []uint8  // per-symbol code length
-	codes   []uint64 // per-symbol canonical code (encode)
 	marks   []uint32 // per-symbol epoch stamp (decode table parsing)
 	epoch   uint32
 	present []uint16 // symbols in play, ascending
@@ -86,7 +85,6 @@ func getHuffScratch(lo, hi uint16) *huffScratch {
 		// carries over into the larger ones.
 		h.freq = make([]uint64, n)
 		h.lens = make([]uint8, n)
-		h.codes = make([]uint64, n)
 		h.marks = make([]uint32, n)
 	}
 	h.base = lo
@@ -220,7 +218,9 @@ func (h *huffScratch) buildLengths() error {
 // assignCanonical counting-sorts present by (length, symbol) into order and
 // assigns canonical codes exactly as the historical implementation did:
 // shorter codes first, ties by symbol order, code <<= length delta between
-// entries. It also fills the per-length count/first/offset decode tables.
+// entries. Each code overwrites its symbol's frequency in freq, which
+// buildLengths has consumed. It also fills the per-length count/first/offset
+// decode tables.
 func (h *huffScratch) assignCanonical() {
 	for _, s := range h.present {
 		h.count[h.lens[s-h.base]]++
@@ -246,7 +246,7 @@ func (h *huffScratch) assignCanonical() {
 		if l > prevLen || i == 0 {
 			h.first[l] = code
 		}
-		h.codes[s-h.base] = code
+		h.freq[s-h.base] = code
 		code++
 		prevLen = l
 	}
@@ -287,7 +287,7 @@ func AppendHuffman(dst []byte, symbols []uint16) ([]byte, error) {
 	}
 	h.bw.initPooled(len(symbols))
 	for _, s := range symbols {
-		h.bw.WriteBits(h.codes[s-lo], uint(h.lens[s-lo]))
+		h.bw.WriteBits(h.freq[s-lo], uint(h.lens[s-lo]))
 	}
 	dst = append(dst, h.bw.Bytes()...)
 	h.bw.release()
