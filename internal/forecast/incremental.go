@@ -65,7 +65,7 @@ func updateConfig(cfg Config) Config {
 
 // neuralSnapshot builds the ModelState for a deep model.
 func neuralSnapshot(name string, updates int, trained bool, params []*nn.Tensor) ModelState {
-	return ModelState{Name: name, Updates: updates, Trained: trained, Params: snapshot(params)}
+	return ModelState{Name: name, Updates: updates, Trained: trained, Params: snapshot(nil, params)}
 }
 
 // neuralRestore validates st against the model's parameter shapes and copies

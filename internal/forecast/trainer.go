@@ -101,7 +101,7 @@ func trainNeural(ctx context.Context, net network, cfg Config, rng *rand.Rand, t
 		v := evalMSE(net, cfg, valIn, valTgt, arena)
 		if v < bestVal-1e-9 {
 			bestVal = v
-			best = snapshotInto(best, params)
+			best = snapshot(best, params)
 			stall = 0
 		} else {
 			stall++
@@ -168,11 +168,9 @@ func predictInArena(net network, cfg Config, inputs [][]float64, arena *nn.Arena
 	return out
 }
 
-func snapshot(params []*nn.Tensor) [][]float64 { return snapshotInto(nil, params) }
-
-// snapshotInto is snapshot reusing the buffers of an earlier snapshot of
-// the same parameters (or none, when snap is nil).
-func snapshotInto(snap [][]float64, params []*nn.Tensor) [][]float64 {
+// snapshot copies the parameters' values, reusing the buffers of snap, an
+// earlier snapshot of the same parameters, when it is not nil.
+func snapshot(snap [][]float64, params []*nn.Tensor) [][]float64 {
 	if snap == nil {
 		snap = make([][]float64, len(params))
 	}
