@@ -181,11 +181,11 @@ func TestHuffmanScratchSurvivesGC(t *testing.T) {
 
 // allocBudget mirrors testdata/alloc_budget.json: the committed per-method
 // ceiling for full-operation allocation counts (fresh encoder, gzip framing,
-// fresh decoder — everything a cache-missed request pays). The steady-state
-// loops are pinned to zero above; this guards the constructor-and-frame path
-// against silent regressions. Budgets carry slack over measured values, so
-// only a real regression — a lost pool, a reintroduced per-point allocation —
-// trips it.
+// fresh decoder — everything a cache-missed request pays — plus the batch
+// Compress and AppendValues paths). The steady-state loops are pinned to zero
+// above; this guards the constructor-and-frame path against silent
+// regressions. Budgets carry about twice the measured values, so only a real
+// regression — a lost pool, a reintroduced per-point allocation — trips it.
 type allocBudget struct {
 	SeriesLen int                           `json:"series_len"`
 	Runs      int                           `json:"runs"`
@@ -263,6 +263,31 @@ func TestKernelAllocBudget(t *testing.T) {
 			got = testing.AllocsPerRun(budget.Runs, decompressOp)
 			if max := limits["decompress"]; got > max {
 				t.Errorf("%s decompress: %v allocs/op exceeds budget %v", m, got, max)
+			}
+
+			// The batch path: a whole-series Compress, and AppendValues into
+			// a slice the caller reuses.
+			batchOp := func() {
+				if _, err := comp.Compress(s, 0.05); err != nil {
+					t.Fatal(err)
+				}
+			}
+			batchOp()
+			got = testing.AllocsPerRun(budget.Runs, batchOp)
+			if max, ok := limits["batch_compress"]; !ok || got > max {
+				t.Errorf("%s batch_compress: %v allocs/op exceeds budget %v", m, got, max)
+			}
+			dst := make([]float64, 0, s.Len())
+			appendOp := func() {
+				var err error
+				if dst, err = c.AppendValues(dst[:0]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			appendOp()
+			got = testing.AllocsPerRun(budget.Runs, appendOp)
+			if max, ok := limits["append_values"]; !ok || got > max {
+				t.Errorf("%s append_values: %v allocs/op exceeds budget %v", m, got, max)
 			}
 		})
 	}
