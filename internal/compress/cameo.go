@@ -1,7 +1,6 @@
 package compress
 
 import (
-	"errors"
 	"math"
 
 	"lossyts/internal/features"
@@ -23,11 +22,9 @@ import (
 // ACF adaptation only ever spends *less* than the permitted error.
 //
 // The segment wire form is the shared line layer (line.go) — identical
-// grammar to Swing, decoded by the same path.
-type CAMEO struct {
-	// Absolute switches to the classic absolute bound |v − v̂| ≤ ε.
-	Absolute bool
-}
+// grammar to Swing, decoded by the same path. The absolute bound is reached
+// through NewAbsoluteStreamEncoder.
+type CAMEO struct{}
 
 // MethodCAMEO identifies the CAMEO compressor.
 const MethodCAMEO Method = "CAMEO"
@@ -41,7 +38,6 @@ func init() {
 		Code:         6,
 		Lossy:        true,
 		New:          func() (Compressor, error) { return CAMEO{}, nil },
-		Decode:       lineDecode,
 		NewStream:    newCameoStream,
 		DecodeStream: cameoDecodeStream,
 	})
@@ -56,15 +52,8 @@ const (
 // Compress encodes s as ACF-aware linear segments under the relative bound.
 // The batch path drives the same streaming kernel as StreamEncoder, so both
 // produce identical bytes by construction.
-func (c CAMEO) Compress(s *timeseries.Series, epsilon float64) (*Compressed, error) {
-	if s.Len() == 0 {
-		return nil, errors.New("compress: empty series")
-	}
-	if epsilon < 0 {
-		return nil, errors.New("compress: negative error bound")
-	}
-	k := newCameoKernel(epsilon, c.Absolute)
-	return kernelCompress(MethodCAMEO, epsilon, s, k)
+func (CAMEO) Compress(s *timeseries.Series, epsilon float64) (*Compressed, error) {
+	return kernelCompress(MethodCAMEO, s, epsilon, false, newCameoStream)
 }
 
 // cameoStream is CAMEO's incremental kernel: the open segment's corridor
@@ -89,10 +78,6 @@ type cameoStream struct {
 }
 
 func newCameoStream(epsilon float64, absolute bool) (StreamKernel, error) {
-	return newCameoKernel(epsilon, absolute), nil
-}
-
-func newCameoKernel(epsilon float64, absolute bool) *cameoStream {
 	return &cameoStream{
 		epsilon:  epsilon,
 		absolute: absolute,
@@ -104,7 +89,7 @@ func newCameoKernel(epsilon float64, absolute bool) *cameoStream {
 		acfRecon: features.NewStreamACF(cameoMaxLag),
 		bufOrig:  make([]float64, cameoMaxLag),
 		bufRecon: make([]float64, cameoMaxLag),
-	}
+	}, nil
 }
 
 func (k *cameoStream) Push(v float64) {

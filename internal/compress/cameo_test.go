@@ -68,9 +68,10 @@ func TestCAMEOPreservesACFBetterThanSwing(t *testing.T) {
 }
 
 // The exported contract assembly must be enough to build a working codec:
-// a trivial last-value predictor composed with the shared quantiser and
-// Huffman stages has to round-trip within the bound without any private
-// plumbing. This is the "how to add a codec" walkthrough as a test.
+// a trivial last-value predictor composed with the shared quantiser (and
+// the Huffman stage every predictive kernel uses) has to round-trip within
+// the bound without any private plumbing. This is the "how to add a codec"
+// walkthrough as a test.
 type lastValuePredictor struct{ last float64 }
 
 func (p *lastValuePredictor) Predict() float64     { return p.last }
@@ -80,7 +81,7 @@ func (p *lastValuePredictor) Reset()               { p.last = 0 }
 func TestPredictiveContractComposesExternalCodec(t *testing.T) {
 	s := cameoTestSeries(2000, 5)
 	const eps = 0.05
-	k := NewPredictiveKernel(128, &lastValuePredictor{}, NewUniformQuantiser(eps, false), HuffmanCoder{})
+	k := NewPredictiveKernel(128, &lastValuePredictor{}, NewUniformQuantiser(eps, false))
 	for _, v := range s.Values {
 		k.Push(v)
 	}
@@ -88,7 +89,7 @@ func TestPredictiveContractComposesExternalCodec(t *testing.T) {
 	if segments <= 0 {
 		t.Fatal("expected a positive segment count")
 	}
-	vs, err := DecodePredictiveStream(HuffmanCoder{}, &lastValuePredictor{}, body, s.Len())
+	vs, err := DecodePredictiveStream(&lastValuePredictor{}, body, s.Len())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,35 +76,11 @@ func (c *Compressed) AppendValues(dst []float64) ([]float64, error) {
 }
 
 func (c *Compressed) appendValues(dst []float64) ([]float64, header, error) {
-	raw := bytePool.get(2 * len(c.Payload))
+	vs, hdr, raw, err := openPayload(c)
+	if err != nil {
+		return dst, hdr, err
+	}
 	defer bytePool.put(raw)
-	var err error
-	raw.s, err = AppendGunzip(raw.s, c.Payload)
-	if err != nil {
-		return dst, header{}, err
-	}
-	hdr, body, err := decodeHeader(raw.s)
-	if err != nil {
-		return dst, header{}, err
-	}
-	if hdr.method != c.Method {
-		return dst, hdr, fmt.Errorf("compress: payload method %s does not match %s", hdr.method, c.Method)
-	}
-	reg, err := lookup(c.Method)
-	if err != nil {
-		return dst, hdr, err
-	}
-	if reg.DecodeStream == nil {
-		values, err := reg.Decode(body, int(hdr.count))
-		if err != nil {
-			return dst, hdr, err
-		}
-		return append(dst, values...), hdr, nil
-	}
-	vs, err := reg.DecodeStream(body, int(hdr.count))
-	if err != nil {
-		return dst, hdr, err
-	}
 	base := len(dst)
 	hint := allocHint(int(hdr.count)) + 1 // never grow by zero
 	for {
@@ -131,6 +107,52 @@ func (c *Compressed) appendValues(dst []float64) ([]float64, header, error) {
 	return dst, hdr, nil
 }
 
+// openPayload is the one way into a payload, shared by AppendValues and
+// NewStreamDecoder: gunzip → header → method check → lookup → value stream.
+// It inflates only the 11-byte header before checking the method code and
+// the method match, so a payload that is not what it claims to be fails
+// before its body is inflated. The body is then inflated into a pooled
+// buffer that the returned value stream reads in place; the caller puts raw
+// back once it is done with vs.
+func openPayload(c *Compressed) (vs ValueStream, hdr header, raw *sbuf[byte], err error) {
+	g, err := openGzip(c.Payload)
+	if err != nil {
+		return nil, hdr, nil, err
+	}
+	defer g.release()
+	if _, err := io.ReadFull(&g.zr, g.head[:]); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, hdr, nil, err
+	}
+	if hdr, _, err = decodeHeader(g.head[:]); err != nil {
+		return nil, hdr, nil, err
+	}
+	if hdr.method != c.Method {
+		return nil, hdr, nil, fmt.Errorf("compress: payload method %s does not match %s", hdr.method, c.Method)
+	}
+	reg, err := lookup(c.Method)
+	if err != nil {
+		return nil, hdr, nil, err
+	}
+	raw = bytePool.get(2 * len(c.Payload))
+	if raw.s, err = appendInflated(raw.s, &g.zr); err == nil {
+		if reg.DecodeStream != nil {
+			vs, err = reg.DecodeStream(raw.s, int(hdr.count))
+		} else {
+			var values []float64
+			values, err = reg.Decode(raw.s, int(hdr.count))
+			vs = &sliceValues{values: values}
+		}
+	}
+	if err != nil {
+		bytePool.put(raw)
+		return nil, hdr, nil, err
+	}
+	return vs, hdr, raw, nil
+}
+
 // New returns the compressor implementing the given method, consulting the
 // registry so externally registered methods resolve exactly like the
 // built-ins. Unknown names yield an *UnknownMethodError.
@@ -152,43 +174,26 @@ type header struct {
 	count    uint32
 }
 
+// headerLen is the size of the shared stream header: method code, start,
+// interval and count.
+const headerLen = 11
+
 // EncodeHeader writes the shared stream header for m into buf. Compressor
 // implementations — built-in and external — call it first, append their
 // encoded body, and hand the buffer to Finish.
 func EncodeHeader(buf *bytes.Buffer, m Method, s *timeseries.Series) error {
-	return EncodeHeaderN(buf, m, s.Start, s.Interval, s.Len())
-}
-
-// EncodeHeaderN is EncodeHeader for producers that know the series geometry
-// without holding its values — the streaming encoder writes its header this
-// way at Close, so finishing a stream never materialises an O(n) slice.
-func EncodeHeaderN(buf *bytes.Buffer, m Method, start, interval int64, n int) error {
-	code, err := methodCode(m)
+	var scratch [headerLen]byte
+	hdr, err := appendHeader(scratch[:0], m, s.Start, s.Interval, s.Len())
 	if err != nil {
 		return err
 	}
-	if start < 0 || start > math.MaxUint32 {
-		return fmt.Errorf("compress: start timestamp %d does not fit the 32-bit header field", start)
-	}
-	if interval < 0 || interval > math.MaxUint16 {
-		return fmt.Errorf("compress: interval %d does not fit the 16-bit header field", interval)
-	}
-	buf.WriteByte(code)
-	var scratch [4]byte
-	binary.LittleEndian.PutUint32(scratch[:], uint32(start))
-	buf.Write(scratch[:])
-	binary.LittleEndian.PutUint16(scratch[:2], uint16(interval))
-	buf.Write(scratch[:2])
-	binary.LittleEndian.PutUint32(scratch[:], uint32(n))
-	buf.Write(scratch[:])
+	buf.Write(hdr)
 	return nil
 }
 
-// appendHeader is EncodeHeaderN in append form: it writes the shared stream
-// header onto dst and returns the extended slice, byte-identical to the
-// buffer-based encoder. The no-copy close path (StreamEncoder.CloseAppend,
-// kernelCompress) frames payloads this way so assembling a frame touches
-// only pooled memory.
+// appendHeader writes the shared stream header onto dst and returns the
+// extended slice. It is the one header writer: EncodeHeader and the kernel
+// close path (StreamEncoder.CloseAppend) both frame payloads through it.
 func appendHeader(dst []byte, m Method, start, interval int64, n int) ([]byte, error) {
 	code, err := methodCode(m)
 	if err != nil {
@@ -211,40 +216,24 @@ func appendHeader(dst []byte, m Method, start, interval int64, n int) ([]byte, e
 	return dst, nil
 }
 
-// kernelCompress is the shared batch path behind the built-in Compress
-// implementations: it drives the method's stream kernel over the whole
-// series — which is what makes batch and streamed payloads byte-identical by
-// construction — then frames and gzips the body through pooled buffers and
-// releases the kernel's scratch. Only the returned Payload is a fresh heap
-// allocation, because batch callers retain it indefinitely.
-func kernelCompress(m Method, epsilon float64, s *timeseries.Series, k StreamKernel) (*Compressed, error) {
+// kernelCompress is the batch path behind the built-in Compress methods:
+// it builds the method's stream kernel with the constructor its registration
+// uses, pushes the whole series through a StreamEncoder and closes it, so
+// batch and streamed payloads are byte-identical by construction and there
+// is one frame writer (StreamEncoder.CloseAppend). The payload is a fresh
+// heap allocation, because batch callers retain it indefinitely; the
+// kernel's pooled scratch is released before returning.
+func kernelCompress(m Method, s *timeseries.Series, epsilon float64, absolute bool, newKernel func(epsilon float64, absolute bool) (StreamKernel, error)) (*Compressed, error) {
+	k, err := newKernel(epsilon, absolute)
+	if err != nil {
+		return nil, err
+	}
+	e := StreamEncoder{method: m, epsilon: epsilon, start: s.Start, interval: s.Interval, n: s.Len(), kernel: k}
+	defer e.Release()
 	for _, v := range s.Values {
 		k.Push(v)
 	}
-	frame := bytePool.get(s.Len() + 64)
-	var err error
-	frame.s, err = appendHeader(frame.s, m, s.Start, s.Interval, s.Len())
-	if err != nil {
-		bytePool.put(frame)
-		return nil, err
-	}
-	var segments int
-	if fa, ok := k.(FinishAppender); ok {
-		frame.s, segments = fa.AppendFinish(frame.s)
-	} else {
-		var body []byte
-		body, segments = k.Finish()
-		frame.s = append(frame.s, body...)
-	}
-	gz, err := GzipBytes(frame.s)
-	bytePool.put(frame)
-	if r, ok := k.(kernelReleaser); ok {
-		r.release()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &Compressed{Method: m, Epsilon: epsilon, N: s.Len(), Segments: segments, Payload: gz}, nil
+	return e.CloseAppend(nil)
 }
 
 // allocHint caps the initial capacity of decode output slices. The claimed
@@ -260,7 +249,7 @@ func allocHint(count int) int {
 }
 
 func decodeHeader(raw []byte) (header, []byte, error) {
-	if len(raw) < 11 {
+	if len(raw) < headerLen {
 		return header{}, nil, io.ErrUnexpectedEOF
 	}
 	m, err := methodFromCode(raw[0])
@@ -272,7 +261,7 @@ func decodeHeader(raw []byte) (header, []byte, error) {
 		start:    binary.LittleEndian.Uint32(raw[1:5]),
 		interval: binary.LittleEndian.Uint16(raw[5:7]),
 		count:    binary.LittleEndian.Uint32(raw[7:11]),
-	}, raw[11:], nil
+	}, raw[headerLen:], nil
 }
 
 // Finish gzips the encoded stream (header plus body, as produced by

@@ -1,7 +1,11 @@
 package compress
 
 import (
+	"bytes"
+	"compress/gzip"
+	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -89,5 +93,57 @@ func TestDecompressLengthMismatch(t *testing.T) {
 	comp.Payload = gz
 	if _, err := comp.Decompress(); err == nil {
 		t.Error("inflated count should fail decompression")
+	}
+}
+
+// TestDecompressionBombRejectedAtHeader feeds both decode APIs a
+// 260,930-byte gzip of 256 MiB of zeros. Its header carries wire code 0,
+// which no method owns, so the payload must be rejected with the typed
+// unknown-code error after its 11 header bytes are inflated — not after the
+// whole body is (which allocated about 1.4 GB).
+func TestDecompressionBombRejectedAtHeader(t *testing.T) {
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	zeros := make([]byte, 1<<20)
+	for i := 0; i < 256; i++ {
+		if _, err := zw.Write(zeros); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() != 260930 {
+		t.Fatalf("bomb payload is %d bytes, want 260930", buf.Len())
+	}
+	bomb := &Compressed{Method: MethodPMC, Payload: buf.Bytes()}
+	decoders := []struct {
+		name   string
+		decode func() error
+	}{
+		{"AppendValues", func() error {
+			_, err := bomb.AppendValues(nil)
+			return err
+		}},
+		{"NewStreamDecoder", func() error {
+			dec, err := NewStreamDecoder(bomb, 0)
+			if err == nil {
+				dec.Release()
+			}
+			return err
+		}},
+	}
+	for _, d := range decoders {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := d.decode()
+		runtime.ReadMemStats(&after)
+		var code unknownCodeError
+		if !errors.As(err, &code) || code != 0 {
+			t.Errorf("%s: got error %v, want the unknown method code 0 error", d.name, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("%s: allocated %d B before rejecting the header, want < 1 MiB", d.name, alloc)
+		}
 	}
 }

@@ -67,9 +67,11 @@ func collectStream(tb testing.TB, vs ValueStream, count int) ([]float64, error) 
 }
 
 // FuzzDecodeHeader differentially fuzzes frame parsing: any input that the
-// batch decoder accepts must stream-decode to bit-identical values, any
-// input the batch decoder rejects must not stream-decode cleanly to a full
-// reconstruction, and neither path may panic or hang.
+// method's batch oracle (decode_oracle_test.go, or an external
+// registration's Decode) accepts must stream-decode to bit-identical values,
+// any input the oracle rejects must not stream-decode cleanly to a full
+// reconstruction, and no decoder may panic or hang. Methods without an
+// oracle (Gorilla, LFZip) are fuzzed for panics and hangs alone.
 func FuzzDecodeHeader(f *testing.F) {
 	for _, raw := range fuzzSeedPayloads(f) {
 		f.Add(raw)
@@ -93,11 +95,22 @@ func FuzzDecodeHeader(f *testing.F) {
 		if err != nil {
 			return
 		}
-		batch, batchErr := reg.Decode(body, count)
+		oracle := batchOracles[hdr.method]
+		if reg.Decode != nil {
+			oracle = reg.Decode
+		}
 		if reg.DecodeStream == nil {
+			_, _ = oracle(body, count)
 			return
 		}
 		vs, err := reg.DecodeStream(body, count)
+		if oracle == nil {
+			if err == nil {
+				_, _ = collectStream(t, vs, count)
+			}
+			return
+		}
+		batch, batchErr := oracle(body, count)
 		if err != nil {
 			if batchErr == nil {
 				t.Fatalf("stream constructor rejected a frame batch accepts: %v", err)

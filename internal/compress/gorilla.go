@@ -1,7 +1,6 @@
 package compress
 
 import (
-	"errors"
 	"io"
 
 	"lossyts/internal/timeseries"
@@ -23,7 +22,6 @@ func init() {
 		Method:       MethodGorilla,
 		Code:         4,
 		New:          func() (Compressor, error) { return Gorilla{}, nil },
-		Decode:       gorillaDecode,
 		NewStream:    newGorillaStream,
 		DecodeStream: gorillaDecodeStream,
 	})
@@ -33,11 +31,7 @@ func init() {
 // the same streaming kernel as StreamEncoder, so both produce identical
 // bytes by construction.
 func (g Gorilla) Compress(s *timeseries.Series, _ float64) (*Compressed, error) {
-	if s.Len() == 0 {
-		return nil, errors.New("compress: empty series")
-	}
-	k := &gorillaStream{enc: newXOREncoder()}
-	return kernelCompress(MethodGorilla, 0, s, k)
+	return kernelCompress(MethodGorilla, s, 0, false, newGorillaStream)
 }
 
 // gorillaStream is Gorilla's incremental kernel: the XOREncoder's O(1)
@@ -84,20 +78,6 @@ func (k *gorillaStream) Segments() int {
 
 // Pending is always 0: every pushed value is already bit-encoded.
 func (k *gorillaStream) Pending() int { return 0 }
-
-func gorillaDecode(body []byte, count int) ([]float64, error) {
-	values := make([]float64, 0, allocHint(count))
-	vs := &gorillaValues{dec: newXORDecoder(body), total: count, remaining: count}
-	var buf [256]float64
-	for len(values) < count {
-		n, err := vs.Next(buf[:])
-		values = append(values, buf[:n]...)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return values, nil
-}
 
 // gorillaValues replays the XOR chain incrementally via the shared
 // XORDecoder stage.

@@ -60,32 +60,55 @@ func GzipBytes(data []byte) ([]byte, error) {
 	return AppendGzip(nil, data)
 }
 
-// pooledGzipReader bundles a gzip.Reader with the bytes.Reader it drains.
+// pooledGzipReader bundles a gzip.Reader with the bytes.Reader it drains,
+// and room for a payload header so inflating it ahead of the body
+// (openPayload) allocates nothing.
 type pooledGzipReader struct {
-	br bytes.Reader
-	zr gzip.Reader
+	br   bytes.Reader
+	zr   gzip.Reader
+	head [headerLen]byte
 }
 
 var gzipReaderPool = sync.Pool{New: func() any { return &pooledGzipReader{} }}
+
+// openGzip returns a pooled reader positioned at the start of data's
+// inflated stream; release it when done.
+func openGzip(data []byte) (*pooledGzipReader, error) {
+	g := gzipReaderPool.Get().(*pooledGzipReader)
+	g.br.Reset(data)
+	if err := g.zr.Reset(&g.br); err != nil {
+		g.release()
+		return nil, err
+	}
+	return g, nil
+}
+
+// release returns the reader to the pool without pinning its input.
+func (g *pooledGzipReader) release() {
+	g.br.Reset(nil)
+	gzipReaderPool.Put(g)
+}
 
 // AppendGunzip appends the decompression of gzip data to dst and returns
 // the extended slice, reusing a pooled reader. On error the (possibly
 // grown) dst is returned alongside, so a pooled buffer is never lost.
 func AppendGunzip(dst, data []byte) ([]byte, error) {
-	g := gzipReaderPool.Get().(*pooledGzipReader)
-	defer func() {
-		g.br.Reset(nil)
-		gzipReaderPool.Put(g)
-	}()
-	g.br.Reset(data)
-	if err := g.zr.Reset(&g.br); err != nil {
+	g, err := openGzip(data)
+	if err != nil {
 		return dst, err
 	}
+	defer g.release()
+	return appendInflated(dst, &g.zr)
+}
+
+// appendInflated appends everything left in zr to dst, verifying the gzip
+// checksum at the end of the stream.
+func appendInflated(dst []byte, zr *gzip.Reader) ([]byte, error) {
 	for {
 		if len(dst) == cap(dst) {
 			dst = append(dst, 0)[:len(dst)]
 		}
-		n, err := g.zr.Read(dst[len(dst):cap(dst)])
+		n, err := zr.Read(dst[len(dst):cap(dst)])
 		dst = dst[:len(dst)+n]
 		if err == io.EOF {
 			return dst, nil

@@ -1,8 +1,6 @@
 package compress
 
 import (
-	"errors"
-
 	"lossyts/internal/forecast"
 	"lossyts/internal/timeseries"
 )
@@ -14,38 +12,31 @@ import (
 // uniformly quantised under the error bound, and the code stream is packed
 // by the shared pooled Huffman stage. The kernel is a pure composition of
 // the predictive-codec contract (predictive.go): predictiveKernel with an
-// NLMS Predictor, the shared UniformQuantiser, and the shared HuffmanCoder
-// — no codec-private wire plumbing at all, which is the point: this file is
-// the "how to add a codec" walkthrough in executable form.
+// NLMS Predictor and the shared UniformQuantiser, coded by the shared
+// HuffmanCoder — no codec-private wire plumbing at all, which is the point:
+// this file is the "how to add a codec" walkthrough in executable form.
 //
 // LFZip proper bounds absolute error; this port follows the paper's
-// pointwise relative bound by default (per-block precision from the
-// smallest non-zero magnitude, as SZ's relative mode does), with Absolute
-// switching to LFZip's native |v − v̂| ≤ ε.
-type LFZip struct {
-	// BlockSize is the number of points per precision-calibration block
-	// (default 128).
-	BlockSize int
-	// Absolute switches to the classic absolute bound |v − v̂| ≤ ε.
-	Absolute bool
-}
+// pointwise relative bound (per-block precision from the smallest non-zero
+// magnitude, as SZ's relative mode does). LFZip's native |v − v̂| ≤ ε is
+// reached through NewAbsoluteStreamEncoder.
+type LFZip struct{}
 
 // MethodLFZip identifies the LFZip compressor.
 const MethodLFZip Method = "LFZIP"
 
+// lfzipBlockSize is the number of points per precision-calibration block.
+const lfzipBlockSize = 128
+
 // Method returns MethodLFZip.
 func (LFZip) Method() Method { return MethodLFZip }
-
-// NewLFZip returns an LFZip compressor with the default block size.
-func NewLFZip() LFZip { return LFZip{BlockSize: 128} }
 
 func init() {
 	Register(Registration{
 		Method:       MethodLFZip,
 		Code:         7,
 		Lossy:        true,
-		New:          func() (Compressor, error) { return NewLFZip(), nil },
-		Decode:       lfzipDecode,
+		New:          func() (Compressor, error) { return LFZip{}, nil },
 		NewStream:    newLFZipStream,
 		DecodeStream: lfzipDecodeStream,
 	})
@@ -54,44 +45,16 @@ func init() {
 // Compress encodes s under the pointwise relative bound epsilon. The batch
 // path drives the same streaming kernel as StreamEncoder, so both produce
 // identical bytes by construction.
-func (z LFZip) Compress(s *timeseries.Series, epsilon float64) (*Compressed, error) {
-	if s.Len() == 0 {
-		return nil, errors.New("compress: empty series")
-	}
-	if epsilon < 0 {
-		return nil, errors.New("compress: negative error bound")
-	}
-	bs := z.BlockSize
-	if bs <= 0 {
-		bs = 128
-	}
-	k := newPredictiveKernel(bs, forecast.NewNLMS(), NewUniformQuantiser(epsilon, z.Absolute), HuffmanCoder{})
-	return kernelCompress(MethodLFZip, epsilon, s, k)
+func (LFZip) Compress(s *timeseries.Series, epsilon float64) (*Compressed, error) {
+	return kernelCompress(MethodLFZip, s, epsilon, false, newLFZipStream)
 }
 
 func newLFZipStream(epsilon float64, absolute bool) (StreamKernel, error) {
-	return newPredictiveKernel(NewLFZip().BlockSize, forecast.NewNLMS(), NewUniformQuantiser(epsilon, absolute), HuffmanCoder{}), nil
-}
-
-func lfzipDecode(body []byte, count int) ([]float64, error) {
-	vs, err := lfzipDecodeStream(body, count)
-	if err != nil {
-		return nil, err
-	}
-	values := make([]float64, 0, allocHint(count))
-	var buf [256]float64
-	for len(values) < count {
-		n, err := vs.Next(buf[:])
-		values = append(values, buf[:n]...)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return values, nil
+	return newPredictiveKernel(lfzipBlockSize, forecast.NewNLMS(), NewUniformQuantiser(epsilon, absolute)), nil
 }
 
 func lfzipDecodeStream(body []byte, count int) (ValueStream, error) {
 	// Epsilon is not needed to dequantise — the stored per-block precision
 	// carries the whole reconstruction contract.
-	return DecodePredictiveStream(HuffmanCoder{}, forecast.NewNLMS(), body, count)
+	return DecodePredictiveStream(forecast.NewNLMS(), body, count)
 }

@@ -11,7 +11,7 @@ import (
 // and CAMEO): each segment is `u16 count | f64 slope | f64 intercept`,
 // reconstructed as v_i = intercept + slope·i for local index i. Swing has
 // always written this form; CAMEO emits the identical grammar through the
-// same emitter, so both share one decode path.
+// same emitter, so both share one decoder (lineValues).
 
 // lineEmitter accumulates line segments into a pooled body buffer. Kernels
 // embed it and inherit the emit/reset/release lifecycle.
@@ -56,28 +56,6 @@ func (e *lineEmitter) resetBody() {
 func (e *lineEmitter) releaseBody() {
 	bytePool.put(e.body)
 	e.body = nil
-}
-
-// lineDecode is the batch decoder for the line-segment wire.
-func lineDecode(body []byte, count int) ([]float64, error) {
-	values := make([]float64, 0, allocHint(count))
-	pos := 0
-	for len(values) < count {
-		if pos+18 > len(body) {
-			return nil, io.ErrUnexpectedEOF
-		}
-		n := int(binary.LittleEndian.Uint16(body[pos : pos+2]))
-		slope := math.Float64frombits(binary.LittleEndian.Uint64(body[pos+2 : pos+10]))
-		intercept := math.Float64frombits(binary.LittleEndian.Uint64(body[pos+10 : pos+18]))
-		pos += 18
-		if n == 0 || len(values)+n > count {
-			return nil, errors.New("compress: corrupt segment length")
-		}
-		for i := 0; i < n; i++ {
-			values = append(values, intercept+slope*float64(i))
-		}
-	}
-	return values, nil
 }
 
 // lineValues replays line segments incrementally: the carried state is one

@@ -30,7 +30,6 @@ func init() {
 		Code:         1,
 		Lossy:        true,
 		New:          func() (Compressor, error) { return PMC{}, nil },
-		Decode:       pmcDecode,
 		NewStream:    newPMCStream,
 		DecodeStream: pmcDecodeStream,
 	})
@@ -42,14 +41,7 @@ const maxSegmentLen = math.MaxUint16
 // batch path drives the same streaming kernel as StreamEncoder, so both
 // produce identical bytes by construction.
 func (p PMC) Compress(s *timeseries.Series, epsilon float64) (*Compressed, error) {
-	if s.Len() == 0 {
-		return nil, errors.New("compress: empty series")
-	}
-	if epsilon < 0 {
-		return nil, errors.New("compress: negative error bound")
-	}
-	k := &pmcStream{epsilon: epsilon, absolute: p.Absolute, lower: math.Inf(-1), upper: math.Inf(1)}
-	return kernelCompress(MethodPMC, epsilon, s, k)
+	return kernelCompress(MethodPMC, s, epsilon, p.Absolute, newPMCStream)
 }
 
 // pmcStream is PMC's incremental kernel: the open window's running sum and
@@ -172,26 +164,6 @@ func quantizeToInterval(v, lo, hi float64) float64 {
 		return q
 	}
 	return v
-}
-
-func pmcDecode(body []byte, count int) ([]float64, error) {
-	values := make([]float64, 0, allocHint(count))
-	pos := 0
-	for len(values) < count {
-		if pos+10 > len(body) {
-			return nil, io.ErrUnexpectedEOF
-		}
-		n := int(binary.LittleEndian.Uint16(body[pos : pos+2]))
-		mean := math.Float64frombits(binary.LittleEndian.Uint64(body[pos+2 : pos+10]))
-		pos += 10
-		if n == 0 || len(values)+n > count {
-			return nil, errors.New("compress: corrupt PMC segment length")
-		}
-		for i := 0; i < n; i++ {
-			values = append(values, mean)
-		}
-	}
-	return values, nil
 }
 
 // pmcValues replays PMC segments incrementally: the carried state is one

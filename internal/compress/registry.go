@@ -30,7 +30,9 @@ type Registration struct {
 	// period).
 	New func() (Compressor, error)
 	// Decode reconstructs count values from a decompressed payload body
-	// (the bytes after the shared stream header).
+	// (the bytes after the shared stream header) in one batch. A method
+	// sets Decode or DecodeStream; Decode is used only when DecodeStream is
+	// nil, and the built-ins set DecodeStream alone.
 	Decode func(body []byte, count int) ([]float64, error)
 	// NewStream constructs the method's incremental encoder state (nil for
 	// batch-only methods, which NewStreamEncoder then rejects). absolute
@@ -39,8 +41,9 @@ type Registration struct {
 	// of the same values.
 	NewStream func(epsilon float64, absolute bool) (StreamKernel, error)
 	// DecodeStream returns an incremental decoder over a payload body so
-	// reconstruction yields chunks instead of materialising the series
-	// (nil means StreamDecoder falls back to the batch Decode).
+	// reconstruction yields chunks instead of materialising the series.
+	// Both decode APIs (Compressed.AppendValues and NewStreamDecoder) go
+	// through it; when it is nil they serve Decode's slice instead.
 	DecodeStream func(body []byte, count int) (ValueStream, error)
 }
 
@@ -67,8 +70,8 @@ func Register(r Registration) {
 	if r.Method == "" {
 		panic("compress: Register with empty method name")
 	}
-	if r.New == nil || r.Decode == nil {
-		panic(fmt.Sprintf("compress: Register(%s) needs both New and Decode", r.Method))
+	if r.New == nil || (r.Decode == nil && r.DecodeStream == nil) {
+		panic(fmt.Sprintf("compress: Register(%s) needs New and one of Decode or DecodeStream", r.Method))
 	}
 	if r.Code == 0 {
 		panic(fmt.Sprintf("compress: Register(%s) needs a non-zero wire code", r.Method))
@@ -160,7 +163,15 @@ func methodFromCode(b byte) (Method, error) {
 	m, ok := byCode[b]
 	registryMu.RUnlock()
 	if !ok {
-		return "", fmt.Errorf("compress: unknown method code %d", b)
+		return "", unknownCodeError(b)
 	}
 	return m, nil
+}
+
+// unknownCodeError is returned when a payload header carries a wire code no
+// registration owns.
+type unknownCodeError byte
+
+func (e unknownCodeError) Error() string {
+	return fmt.Sprintf("compress: unknown method code %d", byte(e))
 }

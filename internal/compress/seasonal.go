@@ -42,7 +42,6 @@ func init() {
 		New: func() (Compressor, error) {
 			return nil, fmt.Errorf("compress: SeasonalPMC needs a period; construct compress.SeasonalPMC{Period: p} directly")
 		},
-		Decode: seasonalPMCDecode,
 		// NewStream stays nil: the phase-mean profile needs a whole-series
 		// pass, so there is no bounded-memory encoder. Streaming callers wrap
 		// the batch compressor with NewBufferedStreamEncoder instead.
@@ -57,7 +56,7 @@ func (sp SeasonalPMC) Compress(s *timeseries.Series, epsilon float64) (*Compress
 		return nil, errors.New("compress: empty series")
 	}
 	if epsilon < 0 {
-		return nil, errors.New("compress: negative error bound")
+		return nil, errNegativeBound
 	}
 	m := sp.Period
 	if m < 2 {
@@ -142,30 +141,6 @@ func seasonalProfile(body []byte) (profile []float64, pos int, err error) {
 		pos += 4
 	}
 	return profile, pos, nil
-}
-
-func seasonalPMCDecode(body []byte, count int) ([]float64, error) {
-	profile, pos, err := seasonalProfile(body)
-	if err != nil {
-		return nil, err
-	}
-	m := len(profile)
-	values := make([]float64, 0, allocHint(count))
-	for len(values) < count {
-		if pos+10 > len(body) {
-			return nil, io.ErrUnexpectedEOF
-		}
-		n := int(binary.LittleEndian.Uint16(body[pos : pos+2]))
-		mean := math.Float64frombits(binary.LittleEndian.Uint64(body[pos+2 : pos+10]))
-		pos += 10
-		if n == 0 || len(values)+n > count {
-			return nil, errors.New("compress: corrupt SeasonalPMC segment length")
-		}
-		for i := 0; i < n; i++ {
-			values = append(values, profile[len(values)%m]+mean)
-		}
-	}
-	return values, nil
 }
 
 // seasonalValues replays SeasonalPMC incrementally: the carried state is the

@@ -97,9 +97,12 @@ func NewAbsoluteStreamEncoder(m Method, s *timeseries.Series, epsilon float64) (
 	return newStreamEncoder(m, s.Start, s.Interval, epsilon, true)
 }
 
+// errNegativeBound rejects an error bound below zero.
+var errNegativeBound = errors.New("compress: negative error bound")
+
 func newStreamEncoder(m Method, start, interval int64, epsilon float64, absolute bool) (*StreamEncoder, error) {
 	if epsilon < 0 {
-		return nil, errors.New("compress: negative error bound")
+		return nil, errNegativeBound
 	}
 	reg, err := lookup(m)
 	if err != nil {
@@ -128,7 +131,7 @@ func newStreamEncoder(m Method, start, interval int64, epsilon float64, absolute
 // that have no incremental kernel.
 func NewBufferedStreamEncoder(c Compressor, start, interval int64, epsilon float64) (*StreamEncoder, error) {
 	if epsilon < 0 {
-		return nil, errors.New("compress: negative error bound")
+		return nil, errNegativeBound
 	}
 	if c == nil {
 		return nil, errors.New("compress: nil compressor")
@@ -210,22 +213,29 @@ func (e *StreamEncoder) Close() (*Compressed, error) { return e.CloseAppend(nil)
 // lifetime. Buffered encoders (NewBufferedStreamEncoder) compress in batch
 // and return a heap payload that does not alias dst. On error the caller
 // still owns the dst slice it passed in.
+//
+// It is the one kernel frame writer: the batch Compress methods close
+// through it too (kernelCompress), so the empty-series and negative-bound
+// checks, header + body + gzip, and the Epsilon/Segments metadata live here
+// only.
 func (e *StreamEncoder) CloseAppend(dst []byte) (*Compressed, error) {
 	if e.closed {
 		return nil, errors.New("compress: already closed")
 	}
 	if e.n == 0 {
-		return nil, errors.New("compress: empty stream")
+		return nil, errors.New("compress: empty series")
+	}
+	if e.epsilon < 0 {
+		return nil, errNegativeBound
 	}
 	e.closed = true
 	if bk, ok := e.kernel.(*bufferedKernel); ok {
 		return bk.comp.Compress(timeseries.New("", e.start, e.interval, bk.values), e.epsilon)
 	}
 	frame := bytePool.get(e.n + 64)
+	defer bytePool.put(frame)
 	var err error
-	frame.s, err = appendHeader(frame.s, e.method, e.start, e.interval, e.n)
-	if err != nil {
-		bytePool.put(frame)
+	if frame.s, err = appendHeader(frame.s, e.method, e.start, e.interval, e.n); err != nil {
 		return nil, err
 	}
 	var segments int
@@ -236,9 +246,7 @@ func (e *StreamEncoder) CloseAppend(dst []byte) (*Compressed, error) {
 		body, segments = e.kernel.Finish()
 		frame.s = append(frame.s, body...)
 	}
-	dst, err = AppendGzip(dst, frame.s)
-	bytePool.put(frame)
-	if err != nil {
+	if dst, err = AppendGzip(dst, frame.s); err != nil {
 		return nil, err
 	}
 	eps := e.epsilon

@@ -2,7 +2,6 @@ package compress
 
 import (
 	"errors"
-	"fmt"
 	"io"
 
 	"lossyts/internal/timeseries"
@@ -10,8 +9,8 @@ import (
 
 // ValueStream yields a payload's reconstructed values incrementally — the
 // decode-side counterpart of StreamKernel. Implementations are registered
-// through Registration.DecodeStream; methods without one decode in batch and
-// are served through a slice adapter.
+// through Registration.DecodeStream; external methods that register only a
+// batch Decode are served through a slice adapter.
 type ValueStream interface {
 	// Next fills dst with up to len(dst) reconstructed values and returns
 	// how many were produced. It returns 0, io.EOF once every value has been
@@ -28,7 +27,7 @@ type ValueStream interface {
 type valueRewinder interface{ rewind() }
 
 // sliceValues serves a batch-decoded slice through the ValueStream
-// interface, the fallback for registrations without DecodeStream.
+// interface, the adapter for registrations without DecodeStream.
 type sliceValues struct {
 	values []float64
 	pos    int
@@ -66,7 +65,7 @@ type StreamDecoder struct {
 	pos      int
 	buf      []float64
 	err      error
-	// Pooled backing for the gunzipped frame (which the per-method value
+	// Pooled backing for the gunzipped body (which the per-method value
 	// streams read from in place) and the chunk buffer; see Release.
 	raw   *sbuf[byte]
 	chunk *sbuf[float64]
@@ -78,37 +77,8 @@ func NewStreamDecoder(c *Compressed, chunkSize int) (*StreamDecoder, error) {
 	if chunkSize <= 0 {
 		chunkSize = timeseries.DefaultChunkSize
 	}
-	raw := bytePool.get(2 * len(c.Payload))
-	var err error
-	raw.s, err = AppendGunzip(raw.s, c.Payload)
+	vs, hdr, raw, err := openPayload(c)
 	if err != nil {
-		bytePool.put(raw)
-		return nil, err
-	}
-	hdr, body, err := decodeHeader(raw.s)
-	if err != nil {
-		bytePool.put(raw)
-		return nil, err
-	}
-	if hdr.method != c.Method {
-		bytePool.put(raw)
-		return nil, fmt.Errorf("compress: payload method %s does not match %s", hdr.method, c.Method)
-	}
-	reg, err := lookup(c.Method)
-	if err != nil {
-		bytePool.put(raw)
-		return nil, err
-	}
-	var vs ValueStream
-	if reg.DecodeStream != nil {
-		vs, err = reg.DecodeStream(body, int(hdr.count))
-	} else {
-		var values []float64
-		values, err = reg.Decode(body, int(hdr.count))
-		vs = &sliceValues{values: values}
-	}
-	if err != nil {
-		bytePool.put(raw)
 		return nil, err
 	}
 	chunk := floatPool.get(chunkSize)
@@ -123,7 +93,7 @@ func NewStreamDecoder(c *Compressed, chunkSize int) (*StreamDecoder, error) {
 	}, nil
 }
 
-// Release returns the decoder's pooled buffers (the gunzipped frame and the
+// Release returns the decoder's pooled buffers (the gunzipped body and the
 // chunk buffer) to the package pools. Call it once the stream is drained or
 // abandoned; the decoder — and any chunk it previously yielded — must not be
 // used afterwards. Decoders that are simply dropped without Release remain

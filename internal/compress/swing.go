@@ -1,7 +1,6 @@
 package compress
 
 import (
-	"errors"
 	"math"
 
 	"lossyts/internal/timeseries"
@@ -30,7 +29,6 @@ func init() {
 		Code:         2,
 		Lossy:        true,
 		New:          func() (Compressor, error) { return Swing{}, nil },
-		Decode:       lineDecode,
 		NewStream:    newSwingStream,
 		DecodeStream: swingDecodeStream,
 	})
@@ -40,14 +38,7 @@ func init() {
 // path drives the same streaming kernel as StreamEncoder, so both produce
 // identical bytes by construction.
 func (sw Swing) Compress(s *timeseries.Series, epsilon float64) (*Compressed, error) {
-	if s.Len() == 0 {
-		return nil, errors.New("compress: empty series")
-	}
-	if epsilon < 0 {
-		return nil, errors.New("compress: negative error bound")
-	}
-	k := &swingStream{epsilon: epsilon, absolute: sw.Absolute, sLow: math.Inf(-1), sHigh: math.Inf(1)}
-	return kernelCompress(MethodSwing, epsilon, s, k)
+	return kernelCompress(MethodSwing, s, epsilon, sw.Absolute, newSwingStream)
 }
 
 // swingStream is Swing's incremental kernel: the open segment's anchor
