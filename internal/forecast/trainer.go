@@ -141,9 +141,12 @@ func predictNeural(net network, cfg Config, inputs [][]float64) [][]float64 {
 }
 
 // predictInArena is predictNeural drawing every buffer from arena, which it
-// resets after each batch; no tensor from arena may be live on entry.
+// resets after each batch; no tensor from arena may be live on entry. The
+// returned rows share one backing array, each capped at its own end.
 func predictInArena(net network, cfg Config, inputs [][]float64, arena *nn.Arena) [][]float64 {
+	h := cfg.Horizon
 	out := make([][]float64, 0, len(inputs))
+	rows := make([]float64, len(inputs)*h)
 	const bs = 64
 	for start := 0; start < len(inputs); start += bs {
 		end := start + bs
@@ -157,8 +160,9 @@ func predictInArena(net network, cfg Config, inputs [][]float64, arena *nn.Arena
 		}
 		pred := net.forward(x, false)
 		for bi := range batch {
-			row := make([]float64, cfg.Horizon)
-			copy(row, pred.Data[bi*cfg.Horizon:(bi+1)*cfg.Horizon])
+			i := len(out)
+			row := rows[i*h : (i+1)*h : (i+1)*h]
+			copy(row, pred.Data[bi*h:(bi+1)*h])
 			out = append(out, row)
 		}
 		// Prediction rows were copied out above, so the graph's arena
