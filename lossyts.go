@@ -124,9 +124,9 @@ type (
 )
 
 // NewStreamEncoder returns a streaming encoder for the series' metadata.
-// PMC, Swing, SZ, and Gorilla stream through true incremental kernels;
-// other registered methods buffer internally and fall back to batch
-// encoding at Close (same bytes, batch memory).
+// Every registered method with an incremental kernel streams (the six
+// built-ins other than S-PMC); others are rejected — wrap them with
+// NewBufferedStreamEncoder (same bytes, batch memory).
 func NewStreamEncoder(m Method, s *Series, epsilon float64) (*StreamEncoder, error) {
 	return compress.NewStreamEncoder(m, s, epsilon)
 }
@@ -152,8 +152,9 @@ func NewStreamDecoder(c *Compressed, chunkSize int) (*StreamDecoder, error) {
 }
 
 // CompressorRegistration declares an externally implemented compression
-// method: its name, payload wire code (built-ins use 1–5; external codes
-// should start at 64), constructor, and payload-body decoder.
+// method: its name, payload wire code (built-ins use 1–7; external codes
+// should start at 64), constructor, and payload-body decoder — a batch
+// Decode or an incremental DecodeStream; at least one must be set.
 type CompressorRegistration = compress.Registration
 
 // UnknownMethodError reports a compression method no registration matches.
